@@ -214,6 +214,27 @@ struct context_key_hash {
 template <typename T>
 inline constexpr char context_type_tag = 0;
 
+/// A context_key with the fields every mode shares: the element type,
+/// the entry point, and every option the planners read.  Each mode fills
+/// its own identity (shape, order, normalized axes, content fingerprint)
+/// at its call site.
+template <typename T>
+[[nodiscard]] context_key make_context_key(std::uint8_t mode,
+                                           const options& opts) {
+  context_key key;
+  key.elem_size = sizeof(T);
+  key.type_tag = &context_type_tag<T>;
+  key.mode = mode;
+  key.alg = static_cast<std::uint8_t>(opts.alg);
+  key.engine = static_cast<std::uint8_t>(opts.engine);
+  key.kernel = static_cast<std::uint8_t>(opts.kernel);
+  key.tile = static_cast<std::uint8_t>(opts.tile);
+  key.strength_reduction = opts.strength_reduction;
+  key.threads = opts.threads;
+  key.block_bytes = opts.block_bytes;
+  return key;
+}
+
 /// One plan-cache slot: a lock-protected free list of type-erased arenas
 /// (transposer<T> instances — the key's type_tag pins T) plus their
 /// approximate retained bytes.
@@ -307,17 +328,8 @@ class transpose_context {
       return;
     }
 
-    detail::context_key key;
-    key.elem_size = sizeof(T);
-    key.type_tag = &detail::context_type_tag<T>;
-    key.mode = mode_permute_nd;
-    key.alg = static_cast<std::uint8_t>(opts.alg);
-    key.engine = static_cast<std::uint8_t>(opts.engine);
-    key.kernel = static_cast<std::uint8_t>(opts.kernel);
-    key.tile = static_cast<std::uint8_t>(opts.tile);
-    key.strength_reduction = opts.strength_reduction;
-    key.threads = opts.threads;
-    key.block_bytes = opts.block_bytes;
+    detail::context_key key =
+        detail::make_context_key<T>(mode_permute_nd, opts);
     key.nd_rank = static_cast<std::uint8_t>(norm.rank);
     for (std::size_t k = 0; k < norm.rank; ++k) {
       key.nd_dims[k] = norm.dims[k];
@@ -365,19 +377,9 @@ class transpose_context {
       return;
     }
 
-    detail::context_key key;
+    detail::context_key key = detail::make_context_key<T>(mode_permute, opts);
     key.rows = n;
-    key.elem_size = sizeof(T);
-    key.type_tag = &detail::context_type_tag<T>;
-    key.mode = mode_permute;
     key.order = inverse ? 1 : 0;
-    key.alg = static_cast<std::uint8_t>(opts.alg);
-    key.engine = static_cast<std::uint8_t>(opts.engine);
-    key.kernel = static_cast<std::uint8_t>(opts.kernel);
-    key.tile = static_cast<std::uint8_t>(opts.tile);
-    key.strength_reduction = opts.strength_reduction;
-    key.threads = opts.threads;
-    key.block_bytes = opts.block_bytes;
     // The permutation's *content* fingerprint rides in the first two
     // nd_dims slots (zero for every other mode; the classifier's finals
     // are never zero), so two different permutations of one length can
@@ -629,20 +631,10 @@ class transpose_context {
            std::uint8_t order_tag, const options& opts, std::uint8_t mode) {
     detail::checked_extent(data, rows, cols);
 
-    detail::context_key key;
+    detail::context_key key = detail::make_context_key<T>(mode, opts);
     key.rows = rows;
     key.cols = cols;
-    key.elem_size = sizeof(T);
-    key.type_tag = &detail::context_type_tag<T>;
-    key.mode = mode;
     key.order = order_tag;
-    key.alg = static_cast<std::uint8_t>(opts.alg);
-    key.engine = static_cast<std::uint8_t>(opts.engine);
-    key.kernel = static_cast<std::uint8_t>(opts.kernel);
-    key.tile = static_cast<std::uint8_t>(opts.tile);
-    key.strength_reduction = opts.strength_reduction;
-    key.threads = opts.threads;
-    key.block_bytes = opts.block_bytes;
 
     run_cached<transposer<T>>(data, key, [&] {
       const transpose_plan plan =

@@ -1,21 +1,662 @@
 #pragma once
-// Plan-reusing execution: `transposer<T>` precomputes the plan, the index
-// math (including every strength-reduced reciprocal) and the scratch
-// workspace once, so repeated transpositions of the same shape — the
-// common case in iterative solvers and ML input pipelines — pay no
+// Plan-reusing execution: `transposer<T>` resolves a plan once — the index
+// math (including every strength-reduced reciprocal), the scratch, and the
+// plan's list of passes — so repeated transpositions of the same shape,
+// the common case in iterative solvers and ML input pipelines, pay no
 // per-call setup.  `transpose_batched` applies it across a contiguous
 // batch of equally shaped matrices.
+//
+// Every 2-D plan lowers to at most three passes.  Each pass of the
+// decomposition is a bijection whose inverse is the matching pass of the
+// opposite direction (Theorems 1-2), so a pass is one body run in either
+// direction, and R2C runs C2R's passes in reverse order:
+//
+//   engine      C2R passes
+//   reference   prerotate (Eq. 23), row_shuffle (Eq. 24), col_shuffle
+//               (Eq. 26) — Algorithm 1
+//   blocked     prerotate, row_shuffle, col_shuffle — Section 4's
+//               cache-aware, parallel forms
+//   skinny      fused_row, rotation, permute — Section 6.1
+//
+// The pre-rotation pass exists only when gcd(m, n) > 1.  In-register tile
+// plans run the skinny passes on W-lane chunks, with the tile pass fused
+// into the row pass.
+//
+// One loop (run_passes) executes every list: it opens each pass's
+// telemetry span, fires the boundary failpoint
+// "<engine>.<dir>.after_<pass>" after the pass completes, and on a throw
+// replays the completed passes' inverses in reverse (rollback_passes),
+// restoring the caller's buffer bit-exactly before the exception
+// continues.  Scratch comes from acquire_scratch, which walks the OOM
+// degradation ladder instead of failing.
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
+#include <string>
+#include <type_traits>
 
+#include "baselines/cycle_follow.hpp"
 #include "core/contracts.hpp"
-#include "core/execute.hpp"
+#include "core/equations.hpp"
+#include "core/errors.hpp"
+#include "core/failpoint.hpp"
+#include "core/layout.hpp"
+#include "core/plan.hpp"
+#include "core/telemetry.hpp"
+#include "cpu/engine_blocked.hpp"
+#include "cpu/engine_reference.hpp"
+#include "cpu/kernels/tile_inreg.hpp"
+#include "cpu/skinny.hpp"
+#include "util/threads.hpp"
 
 namespace inplace {
+
+namespace detail {
+
+/// Emits one telemetry plan record for an execution about to run.
+/// Compiles to an empty function unless the translation unit defines
+/// INPLACE_TELEMETRY.  `from_cache` marks transpose_context cache hits so
+/// warm and cold executions separate in the collector's dedup table.
+template <typename T>
+inline void note_plan_record([[maybe_unused]] const transpose_plan& plan,
+                             [[maybe_unused]] bool from_cache = false) {
+#if INPLACE_TELEMETRY_ENABLED
+  if (telemetry::current_sink() != nullptr) {
+    // Predict the pool this plan's request would get WITHOUT touching the
+    // OpenMP runtime.  The old probe constructed a thread_count_guard,
+    // whose omp_set_num_threads mutates global state: two concurrent
+    // telemetry-enabled transposes raced, and one could observe (or run
+    // its parallel region with) the other's probe value.
+    const util::thread_probe probe = util::probe_thread_count(plan.threads);
+    telemetry::plan_record rec;
+    rec.engine = engine_name(plan.engine);
+    rec.direction = direction_name(plan.dir);
+    rec.m = plan.m;
+    rec.n = plan.n;
+    rec.block_width = plan.block_width;
+    rec.elem_size = sizeof(T);
+    rec.strength_reduction = plan.strength_reduction;
+    rec.kernel_tier = plan.tile_block != 0
+                          ? kernels::tier_name_inreg(plan.ktier)
+                          : kernels::tier_name(plan.ktier);
+    rec.threads_requested = probe.requested;
+    rec.threads_active = probe.active;
+    rec.threads_honored = probe.honored;
+    rec.from_cache = from_cache;
+    rec.rung = rung_name(plan.rung);
+    INPLACE_TELEMETRY_PLAN(rec);
+  }
+#endif
+}
+
+// --- scratch acquisition -----------------------------------------------------
+
+/// Element types the in-register tile tier can reinterpret as lane chunks.
+template <typename T>
+inline constexpr bool tile_eligible =
+    std::is_trivially_copyable_v<T> && (sizeof(T) == 4 || sizeof(T) == 8);
+
+/// The chunk-grid scratch of an in-register tile plan
+/// (plan.tile_block != 0): the element matrix is reinterpreted as an
+/// (m / W) x n grid of W-element lane_chunks that the skinny passes run
+/// on (cpu/kernels/tile_inreg.hpp has the factorization).  W is part of
+/// lane_chunk's type, so the arena holds the scratch behind this base and
+/// the tile passes, instantiated per W, cast back.
+struct tile_scratch_base {
+  tile_scratch_base() = default;
+  tile_scratch_base(const tile_scratch_base&) = delete;
+  tile_scratch_base& operator=(const tile_scratch_base&) = delete;
+  virtual ~tile_scratch_base() = default;
+  /// Bytes retained by the chunk workspace and cycle memo.
+  [[nodiscard]] virtual std::size_t cached_bytes() const = 0;
+};
+
+template <typename T, unsigned W>
+struct tile_scratch final : tile_scratch_base {
+  using chunk = kernels::lane_chunk<T, W>;
+
+  explicit tile_scratch(const transpose_plan& plan) : mm(plan.m / W, plan.n) {
+    reserve_skinny(ws, plan.m / W, plan.n);
+  }
+
+  [[nodiscard]] std::size_t cached_bytes() const override {
+    std::size_t total =
+        (ws.line.size() + ws.head.size() + ws.subrow.size()) * sizeof(chunk);
+    total += ws.visited.size();
+    total += (ws.cycle_starts.capacity() + ws.offsets.size() +
+              ws.index.size() + memo.starts.capacity()) *
+             sizeof(std::uint64_t);
+    return total;
+  }
+
+  transpose_math<fast_divmod> mm;  ///< chunk-grid math: (m / W) x n
+  workspace<chunk> ws;
+  cycle_memo memo;
+};
+
+/// Builds the chunk scratch for a tile plan, dispatching plan.tile_block
+/// to the compile-time chunk width.  Returns null when T cannot take the
+/// tile path (wrong size or not trivially copyable — possible only for a
+/// plan built with a mismatched elem_size) or the width is unknown; the
+/// caller demotes to the scratch-line path.  Propagates std::bad_alloc
+/// from the chunk workspace.
+template <typename T>
+std::unique_ptr<tile_scratch_base> make_tile_scratch(
+    const transpose_plan& plan) {
+  if constexpr (tile_eligible<T>) {
+    // inplace-lint: allow-block(raw-alloc): acquisition-funnel extension —
+    // acquire_scratch's tile rung allocates the chunk workspace through
+    // here, once per plan, inside the same bad_alloc demotion ladder as
+    // the element workspaces
+    switch (plan.tile_block) {
+      case 2:
+        return std::make_unique<tile_scratch<T, 2>>(plan);
+      case 4:
+        return std::make_unique<tile_scratch<T, 4>>(plan);
+      case 8:
+        return std::make_unique<tile_scratch<T, 8>>(plan);
+      case 16:
+        return std::make_unique<tile_scratch<T, 16>>(plan);
+      default:
+        return nullptr;
+    }
+    // inplace-lint: end-block
+  } else {
+    return nullptr;
+  }
+}
+
+/// The scratch an execution owns: at most one of the three members is
+/// engaged (pool for the blocked engine, ws for reference/skinny, tile
+/// for in-register tile plans); all stay empty on the cycle_follow rung
+/// and for degenerate shapes.
+template <typename T>
+struct scratch_bundle {
+  std::optional<workspace<T>> ws;
+  std::optional<workspace_pool<T>> pool;
+  std::unique_ptr<tile_scratch_base> tile;
+};
+
+/// Acquires engine scratch for `plan`, walking the OOM degradation
+/// ladder on std::bad_alloc:
+///
+///   full         — Theorem 6 scratch, one workspace per thread
+///   reduced      — serial (threads = 1), minimum sub-row width, a
+///                  single workspace
+///   cycle_follow — no scratch at all; the executor dispatches to the
+///                  O(1)-space cycle-following permutation instead of
+///                  the planned engine
+///
+/// Demotion rewrites the plan to match (rung, threads, block_width), so
+/// everything downstream — engines, telemetry, cached_bytes — sees a
+/// self-consistent plan.  Exceptions other than bad_alloc (including
+/// injected_fault from the failpoints below) propagate untouched, with
+/// the caller's buffer untouched too: nothing has run yet.
+template <typename T>
+scratch_bundle<T> acquire_scratch(transpose_plan& plan) {
+  scratch_bundle<T> bundle;
+  if (plan.m <= 1 || plan.n <= 1) {
+    return bundle;
+  }
+  if (plan.tile_block != 0) {
+    // Tile rung: the chunk workspace replaces (not supplements) the
+    // element workspace.  If it cannot be allocated, clear tile_block and
+    // fall through to the ordinary ladder — the scratch-line skinny path
+    // is the documented demotion target.
+    try {
+      INPLACE_FAILPOINT("exec.alloc.full");
+      bundle.tile = make_tile_scratch<T>(plan);
+    } catch (const std::bad_alloc&) {
+      bundle.tile.reset();
+    }
+    if (bundle.tile != nullptr) {
+      plan.rung = scratch_rung::full;
+      return bundle;
+    }
+    plan.tile_block = 0;
+  }
+  try {
+    INPLACE_FAILPOINT("exec.alloc.full");
+    if (plan.engine == engine_kind::blocked) {
+      bundle.pool.emplace(plan.m, plan.n, plan.block_width, plan.threads);
+    } else {
+      bundle.ws.emplace();
+      if (plan.engine == engine_kind::skinny) {
+        reserve_skinny(*bundle.ws, plan.m, plan.n);
+      } else {
+        bundle.ws->reserve(plan.m, plan.n, plan.block_width);
+      }
+    }
+    plan.rung = scratch_rung::full;
+    return bundle;
+  } catch (const std::bad_alloc&) {
+    bundle.ws.reset();
+    bundle.pool.reset();
+  }
+  try {
+    INPLACE_FAILPOINT("exec.alloc.reduced");
+    plan.threads = 1;
+    if (plan.engine == engine_kind::blocked) {
+      plan.block_width = 4;  // the planner's floor — minimum sub-row
+      bundle.pool.emplace(plan.m, plan.n, plan.block_width,
+                          serial_workspace_tag{});
+    } else {
+      bundle.ws.emplace();
+      if (plan.engine == engine_kind::skinny) {
+        reserve_skinny(*bundle.ws, plan.m, plan.n);
+      } else {
+        plan.block_width = 4;
+        bundle.ws->reserve(plan.m, plan.n, plan.block_width);
+      }
+    }
+    plan.rung = scratch_rung::reduced;
+    return bundle;
+  } catch (const std::bad_alloc&) {
+    bundle.ws.reset();
+    bundle.pool.reset();
+  }
+  // Last rung: no allocation at all.  The failpoint lets tests forbid
+  // even this rung, proving the caller's buffer survives a full ladder
+  // failure untouched.
+  INPLACE_FAILPOINT("exec.rung.cycle_follow");
+  plan.threads = 1;
+  plan.rung = scratch_rung::cycle_follow;
+  return bundle;
+}
+
+/// Executes a cycle_follow-rung plan: the strictly in-place directed
+/// permutation, serial, no scratch (Dudek et al.'s problem class; the
+/// paper's introduction's cycle-following baseline).
+template <typename T>
+void run_cycle_follow(T* data, const transpose_plan& plan) {
+  baselines::cycle_following_permute_limited(
+      data, plan.m, plan.n, plan.dir == direction::c2r);
+}
+
+// --- the pass pipeline -------------------------------------------------------
+
+/// Everything one transposer owns that its passes touch: the plan, the
+/// index math, the scratch acquire_scratch returned, and the memoized
+/// cycle leaders.  Passes receive the arena by reference at call time,
+/// so a pass list holds no pointer into it and the arena moves freely
+/// (nd_transposer keeps transposers in a vector).
+template <typename T>
+struct arena {
+  transpose_plan plan;
+  const kernels::kernel_set* ks = nullptr;  ///< the plan's resolved tier
+  std::optional<transpose_math<fast_divmod>> fast_math;
+  std::optional<transpose_math<plain_divmod>> plain_math;
+  std::optional<workspace<T>> ws;           ///< reference / skinny
+  std::optional<workspace_pool<T>> pool;    ///< blocked
+  std::unique_ptr<tile_scratch_base> tile;  ///< in-register tile plans
+  cycle_memo memo;                          ///< skinny row-permutation cycles
+  col_cycle_memo col_memo;                  ///< blocked column-shuffle cycles
+
+  template <typename Math>
+  [[nodiscard]] const Math& math() const {
+    if constexpr (std::is_same_v<Math, transpose_math<fast_divmod>>) {
+      return *fast_math;
+    } else {
+      return *plain_math;
+    }
+  }
+};
+
+/// One invertible pass.  `body(data, a, dir, tuned)` runs the pass in
+/// direction `dir`; its inverse is the same body in the opposite
+/// direction.  Forward execution is tuned: the plan's kernel tier,
+/// non-temporal streaming and cycle memos.  Rollback is not — kernels
+/// off, no streaming, no memo (the inverse's cycles differ from the
+/// forward memo), portable tile hooks — because it is a cold path where
+/// simplicity beats throughput, and its correctness must not depend on
+/// the ISA dispatch that was running when the failure hit.
+template <typename T>
+struct pass {
+  void (*body)(T* data, arena<T>& a, direction dir, bool tuned) = nullptr;
+  telemetry::stage stage = telemetry::stage::total;
+  const char* name = "";  ///< boundary failpoint suffix: after_<name>
+};
+
+/// A plan's passes in execution order.
+template <typename T>
+struct pass_list {
+  std::array<pass<T>, 3> at{};
+  std::size_t size = 0;
+
+  [[nodiscard]] const pass<T>* begin() const { return at.data(); }
+  [[nodiscard]] const pass<T>* end() const { return at.data() + size; }
+};
+
+/// Orders an engine's passes, given in C2R order, for `dir`: R2C runs the
+/// same passes reversed.  Passes with a null body (a pre-rotation the
+/// shape does not need) are dropped.
+template <typename T>
+pass_list<T> in_order(direction dir, std::initializer_list<pass<T>> c2r) {
+  pass_list<T> list;
+  for (const pass<T>& p : c2r) {
+    if (p.body != nullptr) {
+      list.at[list.size++] = p;
+    }
+  }
+  if (dir == direction::r2c) {
+    std::reverse(list.at.begin(), list.at.begin() + list.size);
+  }
+  return list;
+}
+
+/// Algorithm 1's passes over one scratch line (cpu/engine_reference.hpp).
+/// Already kernel-free, so tuned and untuned runs coincide.
+template <typename T, typename Math>
+struct reference_passes {
+  static void prerotate(T* d, arena<T>& a, direction dir, bool /*tuned*/) {
+    if (dir == direction::c2r) {
+      reference_prerotate(d, a.template math<Math>(), *a.ws);
+    } else {
+      reference_prerotate_inv(d, a.template math<Math>(), *a.ws);
+    }
+  }
+  static void row_shuffle(T* d, arena<T>& a, direction dir, bool /*tuned*/) {
+    if (dir == direction::c2r) {
+      reference_row_scatter(d, a.template math<Math>(), *a.ws);
+    } else {
+      reference_row_gather(d, a.template math<Math>(), *a.ws);
+    }
+  }
+  static void col_shuffle(T* d, arena<T>& a, direction dir, bool /*tuned*/) {
+    if (dir == direction::c2r) {
+      reference_col_shuffle(d, a.template math<Math>(), *a.ws);
+    } else {
+      reference_col_shuffle_inv(d, a.template math<Math>(), *a.ws);
+    }
+  }
+};
+
+/// The blocked engine's passes over the per-thread pool
+/// (cpu/engine_blocked.hpp).  run_passes installs the plan's team.
+template <typename T, typename Math>
+struct blocked_passes {
+  struct operands {
+    const Math& mm;
+    workspace_pool<T>& pool;
+    std::uint64_t width;
+    const kernels::kernel_set* ks;
+    bool stream;  ///< group-local stores (blocked_stream_group)
+  };
+  static operands view(arena<T>& a, bool tuned) {
+    return {a.template math<Math>(), *a.pool, a.plan.block_width,
+            tuned ? a.ks : nullptr,
+            tuned && blocked_stream_group<T>(a.plan)};
+  }
+
+  static void prerotate(T* d, arena<T>& a, direction dir, bool tuned) {
+    const operands o = view(a, tuned);
+    if (dir == direction::c2r) {
+      rotate_all_parallel(
+          d, o.mm.m, o.mm.n, o.width,
+          [&](std::uint64_t j) { return o.mm.prerotate_offset(j); }, o.pool,
+          o.ks, o.stream);
+    } else {
+      rotate_all_parallel(
+          d, o.mm.m, o.mm.n, o.width,
+          [&](std::uint64_t j) { return o.mm.prerotate_inv_offset(j); },
+          o.pool, o.ks, o.stream);
+    }
+  }
+  static void row_shuffle(T* d, arena<T>& a, direction dir, bool tuned) {
+    const operands o = view(a, tuned);
+    // Row copy-backs never stream: the shuffle just read the row, so its
+    // lines sit in cache in exclusive state and a temporal write-back is
+    // free of RFO traffic — NT stores only add store-path overhead here
+    // (measured ~15% slower on the row pass of a 320 MiB double matrix).
+    if (dir == direction::c2r) {
+      c2r_row_pass(d, o.mm, o.pool, o.ks, /*stream=*/false);
+    } else {
+      r2c_row_pass(d, o.mm, o.pool, o.ks, /*stream=*/false);
+    }
+  }
+  static void col_shuffle(T* d, arena<T>& a, direction dir, bool tuned) {
+    const operands o = view(a, tuned);
+    col_cycle_memo* memo = tuned ? &a.col_memo : nullptr;
+    if (dir == direction::c2r) {
+      c2r_col_shuffle(d, o.mm, o.width, o.pool, memo, o.ks, o.stream);
+    } else {
+      r2c_col_shuffle(d, o.mm, o.width, o.pool, memo, o.ks, o.stream);
+    }
+  }
+};
+
+/// The skinny engine's passes (cpu/skinny.hpp) over elements (W == 1) or,
+/// for an in-register tile plan, over the arena's W-lane chunk grid.
+template <typename T, typename Math, unsigned W>
+struct skinny_passes {
+  using elem = std::conditional_t<W == 1, T, kernels::lane_chunk<T, W>>;
+  using math = std::conditional_t<W == 1, Math, transpose_math<fast_divmod>>;
+
+  struct operands {
+    elem* a;
+    const math& mm;
+    workspace<elem>& ws;
+    cycle_memo* memo;
+    const kernels::kernel_set* ks;
+    bool stream;
+  };
+  static operands view(T* d, arena<T>& a, bool tuned) {
+    const kernels::kernel_set* ks = tuned ? a.ks : nullptr;
+    if constexpr (W == 1) {
+      return {d,
+              a.template math<Math>(),
+              *a.ws,
+              tuned ? &a.memo : nullptr,
+              ks,
+              tuned && skinny_stream_ok<T>(a.plan.n, a.plan.streaming_stores)};
+    } else {
+      auto& s = static_cast<tile_scratch<T, W>&>(*a.tile);
+      INPLACE_REQUIRE(a.plan.tile_block == W && a.plan.m == s.mm.m * W &&
+                          a.plan.n == s.mm.n,
+                      "tile scratch shape does not match the plan");
+      return {reinterpret_cast<elem*>(d),
+              s.mm,
+              s.ws,
+              tuned ? &s.memo : nullptr,
+              ks,
+              tuned && skinny_stream_ok<elem>(s.mm.n, a.plan.streaming_stores)};
+    }
+  }
+
+  static void fused_row(T* d, arena<T>& a, direction dir, bool tuned) {
+    const operands o = view(d, a, tuned);
+    const bool c2r = dir == direction::c2r;
+    const auto run = [&](auto block) {
+      if (c2r) {
+        skinny_fused_scatter(o.a, o.mm, o.ws, o.ks, o.stream, block);
+      } else {
+        skinny_fused_gather(o.a, o.mm, o.ws, o.ks, o.stream, block);
+      }
+    };
+    if constexpr (W == 1) {
+      run(no_block_transform{});
+    } else if (tuned) {
+      INPLACE_CHECK(kernels::tile_lanes<T>(*o.ks) == W,
+                    "plan's kernel tier lost its tile pass after planning");
+      // The tile pass rides the row pass as its block hook: forward
+      // (static_r2c<n, W>) before the C2R scatter consumes each W x n
+      // slab, inverse (static_c2r) after the R2C gather assembles each
+      // row.  Pairing each direction with its inverse hook keeps the two
+      // directions exact inverses.
+      run([ks = o.ks, nregs = a.plan.n, c2r](elem* rows, std::uint64_t k) {
+        kernels::tile_pass<T>(*ks, reinterpret_cast<T*>(rows), nregs, k,
+                              /*forward=*/c2r);
+      });
+    } else {
+      // Portable hooks: rollback must not depend on the tier that planned
+      // the run.
+      run([nregs = a.plan.n, c2r](elem* rows, std::uint64_t k) {
+        kernels::tile_pass_portable(reinterpret_cast<T*>(rows), nregs, W, k,
+                                    /*forward=*/c2r);
+      });
+    }
+  }
+  static void rotation(T* d, arena<T>& a, direction dir, bool tuned) {
+    const operands o = view(d, a, tuned);
+    if (dir == direction::c2r) {
+      skinny_rotate_p(o.a, o.mm, o.ws, o.ks, o.stream);
+    } else {
+      skinny_rotate_p_inv(o.a, o.mm, o.ws, o.ks, o.stream);
+    }
+  }
+  static void permute(T* d, arena<T>& a, direction dir, bool tuned) {
+    const operands o = view(d, a, tuned);
+    if (dir == direction::c2r) {
+      skinny_permute_q(o.a, o.mm, o.ws, o.memo, o.ks, o.stream);
+    } else {
+      skinny_permute_q_inv(o.a, o.mm, o.ws, o.memo, o.ks, o.stream);
+    }
+  }
+};
+
+/// Reference and blocked: the three passes of Algorithm 1.
+template <typename T, typename P>
+pass_list<T> algorithm1_passes(direction dir, bool prerotate) {
+  using telemetry::stage;
+  return in_order<T>(dir, {{prerotate ? &P::prerotate : nullptr,
+                            stage::prerotate, "prerotate"},
+                           {&P::row_shuffle, stage::row_shuffle, "row_shuffle"},
+                           {&P::col_shuffle, stage::col_shuffle, "col_shuffle"}});
+}
+
+/// Skinny: the row pass fused with the pre-rotation, then the column
+/// shuffle split into its rotation and row-permutation components.
+template <typename T, typename P>
+pass_list<T> skinny_pass_list(direction dir) {
+  using telemetry::stage;
+  return in_order<T>(dir, {{&P::fused_row, stage::row_shuffle, "fused_row"},
+                           {&P::rotation, stage::col_shuffle, "rotation"},
+                           {&P::permute, stage::col_shuffle, "permute"}});
+}
+
+/// Lowers a resolved plan whose arena holds its scratch to the plan's
+/// pass list.  A plan still carrying engine_kind::automatic is forged or
+/// corrupted (make_plan/make_directed_plan resolve it): refuse it loudly
+/// instead of silently picking an engine.
+template <typename T, typename Math>
+pass_list<T> lower_passes(const arena<T>& a) {
+  const transpose_plan& plan = a.plan;
+  switch (plan.engine) {
+    case engine_kind::reference:
+      return algorithm1_passes<T, reference_passes<T, Math>>(
+          plan.dir, a.template math<Math>().needs_prerotate());
+    case engine_kind::blocked:
+      return algorithm1_passes<T, blocked_passes<T, Math>>(
+          plan.dir, a.template math<Math>().needs_prerotate());
+    case engine_kind::skinny:
+      if constexpr (tile_eligible<T>) {
+        using F = transpose_math<fast_divmod>;
+        switch (plan.tile_block) {
+          case 2:
+            return skinny_pass_list<T, skinny_passes<T, F, 2>>(plan.dir);
+          case 4:
+            return skinny_pass_list<T, skinny_passes<T, F, 4>>(plan.dir);
+          case 8:
+            return skinny_pass_list<T, skinny_passes<T, F, 8>>(plan.dir);
+          case 16:
+            return skinny_pass_list<T, skinny_passes<T, F, 16>>(plan.dir);
+          default:
+            break;
+        }
+      }
+      return skinny_pass_list<T, skinny_passes<T, Math, 1>>(plan.dir);
+    case engine_kind::automatic:
+      break;
+  }
+  INPLACE_CHECK(false, "unresolved engine_kind::automatic reached the executor");
+  throw error(
+      "inplace: plan with unresolved engine_kind::automatic reached the "
+      "executor (plans must come from make_plan/make_directed_plan/"
+      "make_plan_for_shape)");
+}
+
+/// The failpoint at the boundary after pass `pass`:
+/// "<engine>.<dir>.after_<pass>" (e.g. "blocked.c2r.after_row_shuffle").
+[[nodiscard]] inline std::string boundary_name(const transpose_plan& plan,
+                                               const char* pass) {
+  return std::string(engine_name(plan.engine)) + "." +
+         direction_name(plan.dir) + ".after_" + pass;
+}
+
+/// Restores the caller's buffer after a failure at a pass boundary by
+/// running the inverses of the first `done` passes in reverse order.
+/// Best-effort by design: if an inverse pass itself fails, the buffer is
+/// left at a pass boundary — the documented "unrecoverable" row of the
+/// failure taxonomy (DESIGN.md §11).  Never throws.
+template <typename T>
+void rollback_passes(T* data, arena<T>& a, const pass_list<T>& passes,
+                     std::size_t done) noexcept {
+  const direction inverse =
+      a.plan.dir == direction::c2r ? direction::r2c : direction::c2r;
+  try {
+    while (done > 0) {
+      --done;
+      passes.at[done].body(data, a, inverse, /*tuned=*/false);
+    }
+  } catch (...) {
+    // Swallowed: the original exception (in flight in the caller) is the
+    // one the user must see; a failed rollback downgrades the guarantee
+    // from "restored" to "left at a pass boundary", never hides errors.
+  }
+}
+
+/// Runs a plan's passes on `data`: the one loop every 2-D execution goes
+/// through.  Each pass gets a telemetry span carrying 2*m*n*elem bytes of
+/// modelled traffic (the per-pass analogue of Eq. 37), and its boundary
+/// failpoint fires once it completes.  A throw at a boundary rolls the
+/// completed passes back before it continues.
+template <typename T>
+void run_passes(T* data, arena<T>& a, const pass_list<T>& passes) {
+  const transpose_plan& plan = a.plan;
+  // A pooled (blocked) arena runs its passes, and their inverses, on the
+  // plan's team.  The guard may raise the OpenMP pool past what the
+  // workspace pool was built for, so size the pool from the team about
+  // to launch.
+  std::optional<util::thread_count_guard> team;
+  if (a.pool) {
+    team.emplace(plan.threads);
+    a.pool->ensure(util::hardware_threads());
+  }
+  [[maybe_unused]] const std::uint64_t bytes = 2 * plan.m * plan.n * sizeof(T);
+  std::size_t done = 0;
+  bool in_pass = false;
+  try {
+    for (const pass<T>& p : passes) {
+      {
+        INPLACE_TELEMETRY_SPAN(pass_span, p.stage, bytes, 0);
+        in_pass = true;
+        p.body(data, a, plan.dir, /*tuned=*/true);
+        in_pass = false;
+      }
+      ++done;
+      // The name is built only while some failpoint is armed.
+      INPLACE_FAILPOINT(boundary_name(plan, p.name).c_str());
+    }
+  } catch (...) {
+    // A throw inside a pass leaves its permutation half-applied, which no
+    // sequence of inverses undoes, so the buffer is left as-is.  Pass
+    // interiors are allocation-free loop code with no failpoints, so in
+    // practice every throw lands at a boundary.
+    if (!in_pass) {
+      rollback_passes(data, a, passes, done);
+    }
+    throw;
+  }
+}
+
+}  // namespace detail
 
 /// Reusable in-place transposition executor for one fixed shape.
 ///
@@ -35,30 +676,38 @@ class transposer {
   /// Adopts an already-resolved plan (transpose_context caches the plan
   /// per shape and constructs arenas from it directly, skipping repeated
   /// planning).  The plan must come from make_plan/make_directed_plan/
-  /// make_plan_for_shape — the executor refuses unresolved engines.
+  /// make_plan_for_shape — lowering refuses unresolved engines.
   /// Scratch acquisition walks the OOM degradation ladder (see
   /// detail::acquire_scratch); plan().rung reports where it landed.
-  explicit transposer(const transpose_plan& plan) : plan_(plan) {
-    if (plan_.m > 1 && plan_.n > 1) {
-      if (plan_.strength_reduction) {
-        fast_math_.emplace(plan_.m, plan_.n);
-      } else {
-        plain_math_.emplace(plan_.m, plan_.n);
-      }
-      detail::scratch_bundle<T> scratch = detail::acquire_scratch<T>(plan_);
-      ws_ = std::move(scratch.ws);
-      pool_ = std::move(scratch.pool);
-      tile_ = std::move(scratch.tile);
+  explicit transposer(const transpose_plan& plan) {
+    a_.plan = plan;
+    if (plan.m <= 1 || plan.n <= 1) {
+      return;
+    }
+    a_.ks = &kernels::set_for(plan.ktier);
+    if (plan.strength_reduction) {
+      a_.fast_math.emplace(plan.m, plan.n);
+    } else {
+      a_.plain_math.emplace(plan.m, plan.n);
+    }
+    detail::scratch_bundle<T> scratch = detail::acquire_scratch<T>(a_.plan);
+    a_.ws = std::move(scratch.ws);
+    a_.pool = std::move(scratch.pool);
+    a_.tile = std::move(scratch.tile);
+    if (a_.plan.rung != scratch_rung::cycle_follow) {
+      passes_ = plan.strength_reduction
+                    ? detail::lower_passes<T, transpose_math<fast_divmod>>(a_)
+                    : detail::lower_passes<T, transpose_math<plain_divmod>>(a_);
     }
   }
 
-  [[nodiscard]] const transpose_plan& plan() const { return plan_; }
+  [[nodiscard]] const transpose_plan& plan() const { return a_.plan; }
 
   /// True when scratch acquisition landed below scratch_rung::full (the
   /// OOM degradation ladder engaged while building this arena).  Part of
   /// the arena interface transpose_context::run_cached consumes.
   [[nodiscard]] bool degraded() const {
-    return plan_.rung != scratch_rung::full;
+    return a_.plan.rung != scratch_rung::full;
   }
 
   /// Transposes one matrix in place.  `data` must have the planned shape.
@@ -69,41 +718,42 @@ class transposer {
   /// from its cache, so warm and cold executions separate in the
   /// collector's plan dedup table.
   void execute(T* data, bool from_cache) {
-    if (plan_.m <= 1 || plan_.n <= 1) {
+    const transpose_plan& plan = a_.plan;
+    if (plan.m <= 1 || plan.n <= 1) {
       // Degenerate shapes transpose to the identical buffer, but they are
       // still executions — record the plan and the total span so bench
       // JSON does not silently undercount 1 x n / m x 1 calls.
-      detail::note_plan_record<T>(plan_, from_cache);
+      detail::note_plan_record<T>(plan, from_cache);
       INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                             2 * plan_.m * plan_.n * sizeof(T), 0);
+                             2 * plan.m * plan.n * sizeof(T), 0);
       return;
     }
-    if (plan_.rung == scratch_rung::cycle_follow) {
+    if (plan.rung == scratch_rung::cycle_follow) {
       // Construction could not obtain even the reduced scratch: run the
       // strictly in-place O(1)-space fallback instead of the planned
       // engine (no workspaces exist to hand it).
-      detail::note_plan_record<T>(plan_, from_cache);
+      detail::note_plan_record<T>(plan, from_cache);
       INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                             2 * plan_.m * plan_.n * sizeof(T), 0);
-      detail::run_cycle_follow(data, plan_);
+                             2 * plan.m * plan.n * sizeof(T), 0);
+      detail::run_cycle_follow(data, plan);
       return;
     }
-    if (tile_ != nullptr) {
-      // Tile plans carry their own chunk-grid math and workspace inside
-      // the runner; the element-level math members stay unused.
-      INPLACE_REQUIRE(data != nullptr, "transposer invoked with null data");
-      detail::note_plan_record<T>(plan_, from_cache);
-      INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                             2 * plan_.m * plan_.n * sizeof(T),
-                             plan_.scratch_elements() * sizeof(T));
-      detail::run_tile(data, plan_, *tile_);
-      return;
-    }
-    if (fast_math_) {
-      run(data, *fast_math_, from_cache);
-    } else {
-      run(data, *plain_math_, from_cache);
-    }
+    INPLACE_REQUIRE(data != nullptr, "transposer invoked with null data");
+    // The precomputed index math and scratch must match the plan they were
+    // sized for; a mismatch here means the executor state was corrupted.
+    INPLACE_CHECK(a_.fast_math ? a_.fast_math->m == plan.m &&
+                                     a_.fast_math->n == plan.n
+                               : a_.plain_math->m == plan.m &&
+                                     a_.plain_math->n == plan.n,
+                  "index math shape does not match the plan");
+    INPLACE_CHECK(!a_.ws || a_.ws->line.size() >= std::max(plan.m, plan.n),
+                  "workspace line smaller than max(m, n) — Theorem 6's "
+                  "scratch bound");
+    detail::note_plan_record<T>(plan, from_cache);
+    INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
+                           2 * plan.m * plan.n * sizeof(T),
+                           plan.scratch_elements() * sizeof(T));
+    detail::run_passes(data, a_, passes_);
   }
 
   /// Approximate bytes retained by this executor's cached state (scratch
@@ -111,99 +761,26 @@ class transposer {
   /// bound the total memory its arena cache pins.
   [[nodiscard]] std::size_t cached_bytes() const {
     const auto per_ws =
-        static_cast<std::size_t>(plan_.scratch_elements()) * sizeof(T);
+        static_cast<std::size_t>(a_.plan.scratch_elements()) * sizeof(T);
     // On the cycle_follow rung neither scratch member exists: the arena
     // retains only the (empty) memo capacity.
-    std::size_t total = ws_ ? per_ws : 0;
-    if (pool_) {
-      total = per_ws * std::max<std::size_t>(1, pool_->size());
+    std::size_t total = a_.ws ? per_ws : 0;
+    if (a_.pool) {
+      total = per_ws * std::max<std::size_t>(1, a_.pool->size());
     }
-    if (tile_) {
-      total += tile_->cached_bytes();
+    if (a_.tile) {
+      total += a_.tile->cached_bytes();
     }
-    total += memo_.starts.capacity() * sizeof(std::uint64_t);
-    for (const auto& g : col_memo_.groups) {
+    total += a_.memo.starts.capacity() * sizeof(std::uint64_t);
+    for (const auto& g : a_.col_memo.groups) {
       total += g.capacity() * sizeof(std::uint64_t);
     }
     return total;
   }
 
  private:
-  template <typename Math>
-  void run(T* data, const Math& mm, bool from_cache) {
-    INPLACE_REQUIRE(data != nullptr, "transposer invoked with null data");
-    // The precomputed index math and scratch must match the plan they were
-    // sized for; a mismatch here means the executor state was corrupted.
-    INPLACE_CHECK(mm.m == plan_.m && mm.n == plan_.n,
-                  "index math shape does not match the plan");
-    INPLACE_CHECK(!ws_.has_value() ||
-                      ws_->line.size() >= std::max(plan_.m, plan_.n),
-                  "workspace line smaller than max(m, n) — Theorem 6's "
-                  "scratch bound");
-    detail::note_plan_record<T>(plan_, from_cache);
-    INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                           2 * plan_.m * plan_.n * sizeof(T),
-                           plan_.scratch_elements() * sizeof(T));
-    detail::stage_progress prog;
-    try {
-      switch (plan_.engine) {
-        case engine_kind::reference:
-          if (plan_.dir == direction::c2r) {
-            detail::c2r_reference(data, mm, *ws_, nullptr, &prog);
-          } else {
-            detail::r2c_reference(data, mm, *ws_, nullptr, &prog);
-          }
-          break;
-        case engine_kind::skinny: {
-          // The cycle memo makes the second and later executions skip the
-          // row-permutation cycle discovery entirely (the cycles depend
-          // only on the plan's shape and direction, which are fixed here).
-          const kernels::kernel_set& ks = kernels::set_for(plan_.ktier);
-          if (plan_.dir == direction::c2r) {
-            detail::c2r_skinny(data, mm, *ws_, &memo_, &ks,
-                               plan_.streaming_stores, &prog);
-          } else {
-            detail::r2c_skinny(data, mm, *ws_, &memo_, &ks,
-                               plan_.streaming_stores, &prog);
-          }
-          break;
-        }
-        case engine_kind::blocked:
-          if (plan_.dir == direction::c2r) {
-            detail::c2r_blocked(data, mm, plan_, *pool_, &col_memo_, &prog);
-          } else {
-            detail::r2c_blocked(data, mm, plan_, *pool_, &col_memo_, &prog);
-          }
-          break;
-        case engine_kind::automatic:
-          // The constructor's make_plan_for_shape resolves `automatic`
-          // (plan postcondition); reaching this case means plan_ was
-          // corrupted after construction.  Fail loudly instead of silently
-          // running the blocked engine.
-          INPLACE_CHECK(
-              false, "unresolved engine_kind::automatic reached the executor");
-          throw error(
-              "inplace: transposer plan corrupted — unresolved "
-              "engine_kind::automatic at execution time");
-      }
-    } catch (...) {
-      // Stage-boundary failure: invert the completed passes so the
-      // caller's buffer leaves this frame restored, not scrambled.
-      detail::rollback_stages(data, mm, plan_,
-                              ws_.has_value() ? &*ws_ : nullptr,
-                              pool_.has_value() ? &*pool_ : nullptr, prog);
-      throw;
-    }
-  }
-
-  transpose_plan plan_;
-  std::optional<transpose_math<fast_divmod>> fast_math_;
-  std::optional<transpose_math<plain_divmod>> plain_math_;
-  std::optional<detail::workspace<T>> ws_;
-  std::optional<detail::workspace_pool<T>> pool_;
-  std::unique_ptr<detail::tile_runner_base<T>> tile_;
-  detail::cycle_memo memo_;          ///< skinny row-permutation cycles
-  detail::col_cycle_memo col_memo_;  ///< blocked column-shuffle cycles
+  detail::arena<T> a_;
+  detail::pass_list<T> passes_;
 };
 
 /// Transposes `batch` contiguous, equally shaped rows x cols matrices in

@@ -29,7 +29,8 @@
 // order — each is an involution or has an explicit inverse walk — so the
 // caller's buffer leaves this frame restored-or-untouched.  Mid-stage
 // failures (possible only for throwing element types) follow the same
-// "left at a stage boundary, never hidden" policy as rollback_stages.
+// "left at a stage boundary, never hidden" policy as the 2-D executor's
+// rollback_passes.
 //
 // Not thread-safe: one permuter instance must not execute on two threads
 // at once (tiles, visited maps and the leader memo are exclusive to one
@@ -356,7 +357,7 @@ class permuter {
         std::reverse(data, data + k_eff);
       }
     } catch (...) {
-      // Swallowed, same policy as rollback_stages: the original
+      // Swallowed, same policy as rollback_passes: the original
       // exception is the one the caller must see.
     }
   }
@@ -467,7 +468,7 @@ class permuter {
     if (in_flight) {
       // Mid-group: the pair is half-written and the involution replay
       // would scramble it further.  Documented "left at a stage
-      // boundary" downgrade, same as rollback_stages mid-pass.
+      // boundary" downgrade, same as a 2-D pass failing mid-pass.
       return;
     }
     try {

@@ -44,7 +44,7 @@ enum class engine_kind {
 /// Which rung of the memory-pressure degradation ladder a plan's scratch
 /// acquisition landed on.  Planning always targets `full`; the executor
 /// walks down only when an allocation throws std::bad_alloc
-/// (see detail::acquire_scratch in core/execute.hpp).
+/// (see detail::acquire_scratch in core/executor.hpp).
 enum class scratch_rung : std::uint8_t {
   full,         ///< Theorem 6 scratch, per-thread pool — the fast path
   reduced,      ///< serial, minimum sub-row width, a single workspace

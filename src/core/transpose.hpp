@@ -19,8 +19,8 @@
 // scratch arenas and memoized permutation cycles instead of rebuilding
 // them per call.  Construct a dedicated transpose_context (or a
 // transposer<T>, core/executor.hpp) for isolated caching, async
-// submission, or batch execution.  detail::execute_plan — the uncached
-// one-shot path — lives in core/execute.hpp.
+// submission, or batch execution; a transposer built from a plan is also
+// the uncached one-shot path.
 
 #include <cstddef>
 

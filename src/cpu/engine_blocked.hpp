@@ -15,12 +15,9 @@
 #include <vector>
 
 #include "core/equations.hpp"
-#include "core/failpoint.hpp"
 #include "core/permute.hpp"
 #include "core/plan.hpp"
-#include "core/recovery.hpp"
 #include "core/rotate.hpp"
-#include "core/telemetry.hpp"
 #include "util/threads.hpp"
 
 #if defined(INPLACE_HAVE_OPENMP)
@@ -478,134 +475,20 @@ void r2c_col_shuffle(T* a, const Math& mm, std::uint64_t width,
   }
 }
 
-/// Cache-aware, parallel C2R transposition using caller-owned scratch.
-/// An optional col_cycle_memo (owned alongside the pool) memoizes the
-/// column-shuffle cycle structure across executions of the same plan.
-template <typename T, typename Math>
-void c2r_blocked(T* a, const Math& mm, const transpose_plan& plan,
-                 workspace_pool<T>& pool, col_cycle_memo* memo = nullptr,
-                 stage_progress* prog = nullptr) {
-  const std::uint64_t m = mm.m;
-  const std::uint64_t n = mm.n;
-  const std::uint64_t width = plan.block_width;
-  // One vtable lookup per execution; every pass below dispatches through
-  // the plan's resolved tier, and streams (non-temporal stores) when the
-  // planner decided the working set exceeds the cache threshold.
-  const kernels::kernel_set& ks = kernels::set_for(plan.ktier);
-  const bool stream = plan.streaming_stores;
-  // The rotation/shuffle passes work one column group (width * m
-  // elements) at a time, and stages within a group re-read each other's
-  // writes; when the group fits in cache, non-temporal stores would evict
-  // exactly the lines the next stage is about to load, turning L2 hits
-  // into DRAM round-trips (measured 0.8-0.9x in bench/ablation_kernels).
-  // Stream group-local stores only when the group itself spills.
-  const bool stream_group =
-      stream && kernels::streaming_profitable(
-                    static_cast<std::size_t>(width * m) * sizeof(T),
-                    plan.ktier);
-  util::thread_count_guard guard(plan.threads);
-  // The guard may have raised the OpenMP pool past what the workspace
-  // pool was constructed for; size from the actual upcoming team.
-  pool.ensure(util::hardware_threads());
-
-  // Every pass reads and writes each element once: 2*m*n*elem bytes of
-  // modelled traffic per stage span (the per-stage analogue of Eq. 37).
-  if (mm.needs_prerotate()) {
-    INPLACE_TELEMETRY_SPAN(span_rot, telemetry::stage::prerotate,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::prerotate);
-    rotate_all_parallel(
-        a, m, n, width,
-        [&](std::uint64_t j) { return mm.prerotate_offset(j); }, pool, &ks,
-        stream_group);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("blocked.c2r.after_prerotate");
-  {
-    INPLACE_TELEMETRY_SPAN(span_row, telemetry::stage::row_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    // Row copy-backs never stream: the shuffle just read the row, so its
-    // lines sit in cache in exclusive state and a temporal write-back is
-    // free of RFO traffic — NT stores only add store-path overhead here
-    // (measured ~15% slower on the row pass of a 320 MiB double matrix).
-    begin_stage(prog, stage_id::row_shuffle);
-    c2r_row_pass(a, mm, pool, &ks, /*stream=*/false);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("blocked.c2r.after_row_shuffle");
-  {
-    INPLACE_TELEMETRY_SPAN(span_col, telemetry::stage::col_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::col_shuffle);
-    c2r_col_shuffle(a, mm, width, pool, memo, &ks, stream_group);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("blocked.c2r.after_col_shuffle");
-}
-
-/// Cache-aware, parallel C2R transposition.
-template <typename T, typename Math>
-void c2r_blocked(T* a, const Math& mm, const transpose_plan& plan) {
-  workspace_pool<T> pool(mm.m, mm.n, plan.block_width, plan.threads);
-  c2r_blocked(a, mm, plan, pool);
-}
-
-/// Cache-aware, parallel R2C transposition (inverse steps, Section 4.3)
-/// using caller-owned scratch.
-template <typename T, typename Math>
-void r2c_blocked(T* a, const Math& mm, const transpose_plan& plan,
-                 workspace_pool<T>& pool, col_cycle_memo* memo = nullptr,
-                 stage_progress* prog = nullptr) {
-  const std::uint64_t m = mm.m;
-  const std::uint64_t n = mm.n;
-  const std::uint64_t width = plan.block_width;
-  // See c2r_blocked: one vtable lookup, every pass dispatches through it,
-  // and group-local stores stream only when a column group spills cache.
-  const kernels::kernel_set& ks = kernels::set_for(plan.ktier);
-  const bool stream = plan.streaming_stores;
-  const bool stream_group =
-      stream && kernels::streaming_profitable(
-                    static_cast<std::size_t>(width * m) * sizeof(T),
-                    plan.ktier);
-  util::thread_count_guard guard(plan.threads);
-  // See c2r_blocked: cover any pool growth the guard just performed.
-  pool.ensure(util::hardware_threads());
-
-  {
-    INPLACE_TELEMETRY_SPAN(span_col, telemetry::stage::col_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::col_shuffle);
-    r2c_col_shuffle(a, mm, width, pool, memo, &ks, stream_group);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("blocked.r2c.after_col_shuffle");
-  {
-    INPLACE_TELEMETRY_SPAN(span_row, telemetry::stage::row_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    // Never streamed, same rationale as the C2R row pass.
-    begin_stage(prog, stage_id::row_shuffle);
-    r2c_row_pass(a, mm, pool, &ks, /*stream=*/false);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("blocked.r2c.after_row_shuffle");
-  if (mm.needs_prerotate()) {
-    INPLACE_TELEMETRY_SPAN(span_rot, telemetry::stage::prerotate,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::prerotate);
-    rotate_all_parallel(
-        a, m, n, width,
-        [&](std::uint64_t j) { return mm.prerotate_inv_offset(j); }, pool,
-        &ks, stream_group);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("blocked.r2c.after_prerotate");
-}
-
-/// Cache-aware, parallel R2C transposition.
-template <typename T, typename Math>
-void r2c_blocked(T* a, const Math& mm, const transpose_plan& plan) {
-  workspace_pool<T> pool(mm.m, mm.n, plan.block_width, plan.threads);
-  r2c_blocked(a, mm, plan, pool);
+/// Whether the blocked engine's group-local passes (the pre-rotation and
+/// the column shuffle) stream.  They work one column group (width * m
+/// elements) at a time, and stages within a group re-read each other's
+/// writes; when the group fits in cache, non-temporal stores would evict
+/// exactly the lines the next stage is about to load, turning L2 hits
+/// into DRAM round-trips (measured 0.8-0.9x in bench/ablation_kernels).
+/// So they stream only when the planner chose streaming for the matrix
+/// and the group itself spills.
+template <typename T>
+[[nodiscard]] inline bool blocked_stream_group(const transpose_plan& plan) {
+  return plan.streaming_stores &&
+         kernels::streaming_profitable(
+             static_cast<std::size_t>(plan.block_width * plan.m) * sizeof(T),
+             plan.ktier);
 }
 
 }  // namespace inplace::detail

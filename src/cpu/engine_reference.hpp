@@ -5,18 +5,17 @@
 // and it carries the instrumentation that checks Theorem 6's "each element
 // is read and written at most 6 times" bound.
 //
-// Each pass is factored into a standalone helper; the pass and its
-// inverse (the matching pass of the opposite direction) are what the
-// failure-rollback path in core/execute.hpp replays when an execution
-// throws at a stage boundary.
+// Each pass is factored into a standalone helper, and each helper's
+// inverse is the matching pass of the opposite direction.  The executor
+// (core/executor.hpp) runs the helpers as the reference engine's pass
+// list and replays the inverses when an execution throws at a pass
+// boundary; c2r_reference/r2c_reference below compose them directly, as
+// the specification the tests count element touches on.
 
 #include <cstdint>
 
 #include "core/equations.hpp"
-#include "core/failpoint.hpp"
 #include "core/permute.hpp"
-#include "core/recovery.hpp"
-#include "core/telemetry.hpp"
 
 namespace inplace::detail {
 
@@ -107,51 +106,24 @@ void reference_col_shuffle_inv(T* a, const Math& mm, workspace<T>& ws) {
 
 /// In-place C2R transposition (Algorithm 1).  After the call, the buffer
 /// holds the row-major linearization of the transpose (Theorem 1).
-/// `prog` (optional) records completed passes for stage-boundary
-/// rollback.
 template <typename T, typename Math>
 void c2r_reference(T* a, const Math& mm, workspace<T>& ws,
-                   touch_counter* tc = nullptr,
-                   stage_progress* prog = nullptr) {
-  const std::uint64_t m = mm.m;
-  const std::uint64_t n = mm.n;
-
+                   touch_counter* tc = nullptr) {
   // Step 1 — pre-rotation (Eq. 23), needed only when gcd(m, n) > 1.
   if (mm.needs_prerotate()) {
-    INPLACE_TELEMETRY_SPAN(span_rot, telemetry::stage::prerotate,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::prerotate);
     reference_prerotate(a, mm, ws);
-    end_stage(prog);
     if (tc) {
-      tc->reads += m * n;
-      tc->writes += m * n;
+      tc->reads += mm.m * mm.n;
+      tc->writes += mm.m * mm.n;
     }
   }
-  INPLACE_FAILPOINT("reference.c2r.after_prerotate");
-
   // Step 2 — row shuffle, scatter per Eq. 24.
-  {
-    INPLACE_TELEMETRY_SPAN(span_row, telemetry::stage::row_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::row_shuffle);
-    reference_row_scatter(a, mm, ws);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("reference.c2r.after_row_shuffle");
-
+  reference_row_scatter(a, mm, ws);
   // Step 3 — column shuffle, gather per Eq. 26.
-  {
-    INPLACE_TELEMETRY_SPAN(span_col, telemetry::stage::col_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::col_shuffle);
-    reference_col_shuffle(a, mm, ws);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("reference.c2r.after_col_shuffle");
+  reference_col_shuffle(a, mm, ws);
   if (tc) {
-    tc->reads += 2 * m * n;
-    tc->writes += 2 * m * n;
+    tc->reads += 2 * mm.m * mm.n;
+    tc->writes += 2 * mm.m * mm.n;
   }
 }
 
@@ -177,51 +149,22 @@ void c2r_reference_gather(T* a, const Math& mm, workspace<T>& ws) {
 /// reversed with gathers/scatters interchanged (Section 4.3).
 template <typename T, typename Math>
 void r2c_reference(T* a, const Math& mm, workspace<T>& ws,
-                   touch_counter* tc = nullptr,
-                   stage_progress* prog = nullptr) {
-  const std::uint64_t m = mm.m;
-  const std::uint64_t n = mm.n;
-
+                   touch_counter* tc = nullptr) {
   // Step 1 — inverse column shuffle (Eqs. 34-35).
-  {
-    INPLACE_TELEMETRY_SPAN(span_col, telemetry::stage::col_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::col_shuffle);
-    reference_col_shuffle_inv(a, mm, ws);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("reference.r2c.after_col_shuffle");
-  if (tc) {
-    tc->reads += m * n;
-    tc->writes += m * n;
-  }
-
+  reference_col_shuffle_inv(a, mm, ws);
   // Step 2 — row shuffle; the gather form uses d' directly (Section 4.3).
-  {
-    INPLACE_TELEMETRY_SPAN(span_row, telemetry::stage::row_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::row_shuffle);
-    reference_row_gather(a, mm, ws);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("reference.r2c.after_row_shuffle");
-
+  reference_row_gather(a, mm, ws);
   // Step 3 — inverse pre-rotation (Eq. 36), when gcd(m, n) > 1.
   if (mm.needs_prerotate()) {
-    INPLACE_TELEMETRY_SPAN(span_rot, telemetry::stage::prerotate,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::prerotate);
     reference_prerotate_inv(a, mm, ws);
-    end_stage(prog);
     if (tc) {
-      tc->reads += m * n;
-      tc->writes += m * n;
+      tc->reads += mm.m * mm.n;
+      tc->writes += mm.m * mm.n;
     }
   }
-  INPLACE_FAILPOINT("reference.r2c.after_prerotate");
   if (tc) {
-    tc->reads += m * n;
-    tc->writes += m * n;
+    tc->reads += 2 * mm.m * mm.n;
+    tc->writes += 2 * mm.m * mm.n;
   }
 }
 

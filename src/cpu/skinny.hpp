@@ -14,19 +14,16 @@
 // R2C is the mirror image, with the final fused pass sweeping bottom-up.
 //
 // Each pass is a standalone helper and the R2C helpers are the exact
-// pass-wise inverses of the C2R helpers; the failure-rollback path in
-// core/execute.hpp replays the inverses of completed passes when an
-// execution throws at a stage boundary.
+// pass-wise inverses of the C2R helpers.  core/executor.hpp sequences
+// them as the skinny pass list and replays the inverses of completed
+// passes when an execution throws at a pass boundary.
 
 #include <algorithm>
 #include <cstdint>
 
 #include "core/equations.hpp"
-#include "core/failpoint.hpp"
 #include "core/permute.hpp"
-#include "core/recovery.hpp"
 #include "core/rotate.hpp"
-#include "core/telemetry.hpp"
 
 namespace inplace::detail {
 
@@ -47,8 +44,9 @@ template <typename T>
 }
 
 /// No-op row-block transform: the default hook for the fused passes
-/// below.  The in-register tile tier substitutes a real transform
-/// (core/execute.hpp's tile runner) that rewrites whole rows in place.
+/// below.  The in-register tile tier substitutes a real transform (the
+/// tile plans' fused row pass in core/executor.hpp) that rewrites whole
+/// rows in place.
 struct no_block_transform {
   template <typename T>
   void operator()(T* /*rows*/, std::uint64_t /*nrows*/) const noexcept {}
@@ -236,88 +234,6 @@ void skinny_fused_gather(T* a, const Math& mm, workspace<T>& ws,
     block(tmp, 1);
     copy_back(a + ii * n, tmp, n, ks, stream);
   }
-}
-
-/// Skinny C2R: in-place transpose of a tall row-major m x n array
-/// (m > n); equivalently, AoS -> SoA conversion for m structures of n
-/// fields each.  An optional cycle_memo caches the q-permutation's cycle
-/// leaders across executions of the same plan; an optional
-/// stage_progress records completed passes for rollback.  `block` is the
-/// optional pre-consumption row-block transform fused into pass 1 (see
-/// skinny_fused_scatter); the tile tier passes its per-slab register
-/// transpose, everything else the default no-op.
-template <typename T, typename Math, typename BlockFn = no_block_transform>
-void c2r_skinny(T* a, const Math& mm, workspace<T>& ws,
-                cycle_memo* memo = nullptr,
-                const kernels::kernel_set* ks = nullptr,
-                bool stream = false, stage_progress* prog = nullptr,
-                BlockFn block = BlockFn{}) {
-  [[maybe_unused]] const std::uint64_t m = mm.m;
-  const std::uint64_t n = mm.n;
-  stream = skinny_stream_ok<T>(n, stream);
-
-  {
-    INPLACE_TELEMETRY_SPAN(span_row, telemetry::stage::row_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::skinny_fused_row);
-    skinny_fused_scatter(a, mm, ws, ks, stream, block);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("skinny.c2r.after_fused_row");
-
-  // Passes 2+3 are the column shuffle split into its rotation and static
-  // row-permutation components; one span covers both.
-  INPLACE_TELEMETRY_SPAN(span_col, telemetry::stage::col_shuffle,
-                         4 * m * n * sizeof(T), 0);
-
-  begin_stage(prog, stage_id::skinny_rotation);
-  skinny_rotate_p(a, mm, ws, ks, stream);
-  end_stage(prog);
-  INPLACE_FAILPOINT("skinny.c2r.after_rotation");
-
-  begin_stage(prog, stage_id::skinny_permute);
-  skinny_permute_q(a, mm, ws, memo, ks, stream);
-  end_stage(prog);
-  INPLACE_FAILPOINT("skinny.c2r.after_permute");
-}
-
-/// Skinny R2C: the inverse of c2r_skinny on the same m x n view
-/// (SoA -> AoS conversion).  `block` is the post-assembly row transform
-/// fused into pass 3 (see skinny_fused_gather); r2c_skinny with the
-/// inverse hook is the exact inverse of c2r_skinny with the forward one.
-template <typename T, typename Math, typename BlockFn = no_block_transform>
-void r2c_skinny(T* a, const Math& mm, workspace<T>& ws,
-                cycle_memo* memo = nullptr,
-                const kernels::kernel_set* ks = nullptr,
-                bool stream = false, stage_progress* prog = nullptr,
-                BlockFn block = BlockFn{}) {
-  [[maybe_unused]] const std::uint64_t m = mm.m;
-  const std::uint64_t n = mm.n;
-  stream = skinny_stream_ok<T>(n, stream);
-
-  {
-    INPLACE_TELEMETRY_SPAN(span_col, telemetry::stage::col_shuffle,
-                           4 * m * n * sizeof(T), 0);
-
-    begin_stage(prog, stage_id::skinny_permute);
-    skinny_permute_q_inv(a, mm, ws, memo, ks, stream);
-    end_stage(prog);
-    INPLACE_FAILPOINT("skinny.r2c.after_permute");
-
-    begin_stage(prog, stage_id::skinny_rotation);
-    skinny_rotate_p_inv(a, mm, ws, ks, stream);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("skinny.r2c.after_rotation");
-
-  {
-    INPLACE_TELEMETRY_SPAN(span_row, telemetry::stage::row_shuffle,
-                           2 * m * n * sizeof(T), 0);
-    begin_stage(prog, stage_id::skinny_fused_row);
-    skinny_fused_gather(a, mm, ws, ks, stream, block);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("skinny.r2c.after_fused_row");
 }
 
 }  // namespace inplace::detail

@@ -187,14 +187,18 @@ TEST(CheckedExecutor, PlanPostconditionResolvesAutomatic) {
 TEST(CheckedExecutor, ForgedAutomaticPlanTripsContract) {
   // Regression: an unresolved engine_kind::automatic plan used to fall
   // through to the blocked engine silently.  In this checked TU the
-  // dispatch contract fires before the release-mode throw.
+  // lowering contract fires before the release-mode throw.
   inplace::transpose_plan forged;
   forged.m = 8;
   forged.n = 8;
   forged.engine = inplace::engine_kind::automatic;
   std::vector<float> buf(64, 1.0f);
-  EXPECT_THROW(inplace::detail::execute_plan(buf.data(), forged),
-               contract_violation);
+  EXPECT_THROW(
+      {
+        inplace::transposer<float> tr(forged);
+        tr(buf.data());
+      },
+      contract_violation);
 }
 
 TEST(CheckedExecutor, BatchedOverflowPrecondition) {

@@ -171,7 +171,8 @@ TEST(Executor, UnresolvedAutomaticPlanFailsLoudly) {
   forged.engine = engine_kind::automatic;
   std::vector<float> buf(64, 1.0f);
   try {
-    detail::execute_plan(buf.data(), forged);
+    transposer<float> tr(forged);
+    tr(buf.data());
     FAIL() << "a forged automatic plan executed silently";
   } catch (const error&) {
   } catch (const contract_violation&) {

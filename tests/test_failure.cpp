@@ -151,17 +151,13 @@ TEST(Failpoint, EnvArmsReloadsAndRejectsMalformedEntries) {
 
 // --- stage-boundary rollback -------------------------------------------------
 
-// Regression (noexcept audit): rollback_stages runs inside a catch block
-// while the engine's exception is in flight; if the rollback itself could
+// Regression (noexcept audit): rollback_passes runs inside a catch block
+// while the pass's exception is in flight; if the rollback itself could
 // throw, the unwind would escalate to std::terminate.  The "never throws"
 // contract is part of the signature, proven here at compile time.
-static_assert(noexcept(detail::rollback_stages(
-    static_cast<double*>(nullptr),
-    std::declval<const transpose_math<fast_divmod>&>(),
-    std::declval<const transpose_plan&>(),
-    static_cast<detail::workspace<double>*>(nullptr),
-    static_cast<detail::workspace_pool<double>*>(nullptr),
-    std::declval<const detail::stage_progress&>())));
+static_assert(noexcept(detail::rollback_passes(
+    static_cast<double*>(nullptr), std::declval<detail::arena<double>&>(),
+    std::declval<const detail::pass_list<double>&>(), std::size_t{0})));
 
 /// Arms `name`, runs a directed transposition of src through a fresh
 /// transposer, and asserts the injected failure left the buffer
@@ -227,6 +223,55 @@ TEST(Rollback, SkinnyEngineRestoresAtEveryStageBoundary) {
   }
 }
 
+/// True when the kernel tier a default plan resolves to carries an
+/// in-register tile pass for both 4- and 8-byte elements.
+bool tier_has_tile_pass() {
+  const transpose_plan plan = make_plan_for_shape(
+      1024, 8, storage_order::row_major, {}, sizeof(float));
+  const kernels::kernel_set& ks = kernels::set_for(plan.ktier);
+  return kernels::tile_lanes<float>(ks) != 0 &&
+         kernels::tile_lanes<double>(ks) != 0;
+}
+
+/// check_rollback at all six skinny boundaries on an in-register tile
+/// plan: the skinny passes run on W-lane chunks with the tile pass fused
+/// into the row pass.  1024 rows divide every tier's lane count and
+/// n <= 8 fits every tier's register budget, so the tile gate holds.
+template <typename T>
+void check_tile_rollback(std::size_t m, std::size_t n) {
+  SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n) + ", " +
+               std::to_string(sizeof(T)) + "-byte");
+  options opts;
+  opts.engine = engine_kind::skinny;
+  std::vector<T> probe(m * n);
+  for (const direction dir : {direction::c2r, direction::r2c}) {
+    ASSERT_NE(make_directed_plan(probe.data(), m, n, dir, opts, sizeof(T))
+                  .tile_block,
+              0u)
+        << "shape missed the in-register tile gate";
+  }
+  for (const char* name :
+       {"skinny.c2r.after_fused_row", "skinny.c2r.after_rotation",
+        "skinny.c2r.after_permute"}) {
+    check_rollback<T>(m, n, direction::c2r, opts, name);
+  }
+  for (const char* name :
+       {"skinny.r2c.after_permute", "skinny.r2c.after_rotation",
+        "skinny.r2c.after_fused_row"}) {
+    check_rollback<T>(m, n, direction::r2c, opts, name);
+  }
+}
+
+TEST(Rollback, TilePlansRestoreAtEveryStageBoundary) {
+  if (!tier_has_tile_pass()) {
+    GTEST_SKIP() << "the resolved kernel tier has no in-register tile pass";
+  }
+  check_tile_rollback<float>(1024, 8);
+  check_tile_rollback<float>(1024, 5);
+  check_tile_rollback<double>(1024, 8);
+  check_tile_rollback<double>(1024, 5);
+}
+
 TEST(Rollback, BlockedEngineRestoresAtEveryStageBoundary) {
   options opts;
   opts.engine = engine_kind::blocked;
@@ -241,24 +286,6 @@ TEST(Rollback, BlockedEngineRestoresAtEveryStageBoundary) {
         "blocked.r2c.after_prerotate"}) {
     check_rollback<double>(64, 48, direction::r2c, opts, name);
   }
-}
-
-TEST(Rollback, OneShotExecutePlanPathRestoresToo) {
-  // The uncached execute_plan path (free functions) shares run_with_math's
-  // rollback; prove it independently of the transposer.
-  const std::size_t m = 56;
-  const std::size_t n = 42;
-  const auto src = util::iota_matrix<double>(m, n);
-  auto buf = src;
-  const transpose_plan plan =
-      make_directed_plan(buf.data(), m, n, direction::c2r, {}, sizeof(double));
-  {
-    fp::scoped_trigger armed("blocked.c2r.after_row_shuffle");
-    EXPECT_THROW(detail::execute_plan(buf.data(), plan), fp::injected_fault);
-  }
-  expect_same(buf, src, "execute_plan rollback");
-  detail::execute_plan(buf.data(), plan);
-  expect_transposed(buf, src, m, n, "execute_plan rerun");
 }
 
 // --- the OOM degradation ladder ----------------------------------------------
@@ -287,6 +314,41 @@ TEST(OomLadder, FullRungFailureDegradesToReducedAndStaysExact) {
     EXPECT_EQ(tr.plan().threads, 1);
     tr(buf.data());
     expect_transposed(buf, src, c.m, c.n, "reduced rung");
+  }
+}
+
+TEST(OomLadder, TileScratchFailureDemotesToScratchLinePath) {
+  if (!tier_has_tile_pass()) {
+    GTEST_SKIP() << "the resolved kernel tier has no in-register tile pass";
+  }
+  options opts;
+  opts.engine = engine_kind::skinny;
+  for (const direction dir : {direction::c2r, direction::r2c}) {
+    SCOPED_TRACE(dir == direction::c2r ? "c2r" : "r2c");
+    const std::size_t m = 1024;
+    const std::size_t n = 8;
+    const auto src = util::iota_matrix<float>(m, n);
+    auto buf = src;
+    const transpose_plan plan =
+        make_directed_plan(buf.data(), m, n, dir, opts, sizeof(float));
+    ASSERT_NE(plan.tile_block, 0u);
+    // One traversal fails: the tile rung's chunk workspace.  The element
+    // workspace on the same full rung then succeeds.
+    fp::scoped_trigger no_tile("exec.alloc.full", fp::mode::oom, /*skip=*/0,
+                               /*count=*/1);
+    transposer<float> tr(plan);
+    EXPECT_EQ(tr.plan().tile_block, 0u);
+    EXPECT_EQ(tr.plan().rung, scratch_rung::full);
+    tr(buf.data());
+    if (dir == direction::c2r) {
+      expect_transposed(buf, src, m, n, "tile demoted to the scratch line");
+    } else {
+      transposer<float> inv(make_directed_plan(buf.data(), m, n,
+                                               direction::c2r, opts,
+                                               sizeof(float)));
+      inv(buf.data());
+      expect_same(buf, src, "demoted r2c/c2r round trip");
+    }
   }
 }
 

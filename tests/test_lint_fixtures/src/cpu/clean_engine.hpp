@@ -1,32 +1,17 @@
 #pragma once
-// Negative-space fixture: the complete stage idiom, including the skinny
-// engine's one-span-two-stages shape and an audited allocation with a
-// reasoned suppression.  Must produce ZERO findings — this is the false
-// positive tripwire for the selftest.
+// Negative-space fixture: an engine pass body as the executor lowers it —
+// no span, no failpoint — with an audited allocation carrying a reasoned
+// suppression.  Must produce ZERO findings — this is the false positive
+// tripwire for the selftest.
 
 namespace fixture {
 
 template <typename T>
-void engine_pass_clean(T* a, int* prog, std::vector<T>& ws) {
+void engine_pass_clean(T* a, std::vector<T>& ws) {
   // inplace-lint: allow-next(raw-alloc): fixture stand-in for the
   // audited workspace::reserve acquisition funnel
   ws.reserve(16);
-  {
-    INPLACE_TELEMETRY_SPAN(span_row, telemetry::stage::row_shuffle, 0, 0);
-    begin_stage(prog, stage_id::row_shuffle);
-    a[0] = a[0];
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("fixture.clean.after_row");
-  {
-    INPLACE_TELEMETRY_SPAN(span_col, telemetry::stage::col_shuffle, 0, 0);
-    begin_stage(prog, stage_id::skinny_rotation);
-    end_stage(prog);
-    INPLACE_FAILPOINT("fixture.clean.after_rotation");
-    begin_stage(prog, stage_id::skinny_permute);
-    end_stage(prog);
-  }
-  INPLACE_FAILPOINT("fixture.clean.after_permute");
+  a[0] = a[0];
 }
 
 }  // namespace fixture

@@ -125,6 +125,16 @@ if [[ $bench -eq 1 ]]; then
   "$repo_root/build/tools/bench_gate" \
       "$repo_root/bench/baselines/BENCH_micro_kernels.json" \
       "$bench_tmp/BENCH_micro_kernels.json" --threshold 0.5 --mad-k 8
+  echo "=== bench gate: repository benchmark, traced smoke run per workload"
+  # The traced run composes the engine passes one by one
+  # (perfbench/layers.cpp) and checks the buffer bit-identical to the
+  # public call after every composition, so it is the end-to-end guard on
+  # the pass functions the executor's pass loop sequences.  The shortest
+  # --seconds perfbench accepts keeps each run to its minimum sample count.
+  for workload in matrix-large aos-soa mixed-requests; do
+    (cd "$repo_root" && python3 perfbench/run.py --workload "$workload" \
+        --seed 1 --seconds 0.001 --trace 1 >/dev/null)
+  done
   echo "=== bench gate: plan-cache ablation steady-state check"
   # Self-gating: exits nonzero if the warm loop performed any plan misses
   # or arena allocations (a plan-cache regression), regardless of timing.
