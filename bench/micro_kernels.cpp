@@ -161,11 +161,13 @@ void BM_RowPermuteCycleFollowing(benchmark::State& state) {
   detail::workspace<float> ws;
   ws.reserve(m, n, 16);
   const auto q = [&](std::uint64_t i) { return mm.q(i); };
+  detail::cycle_memo memo;
   for (auto _ : state) {
-    detail::find_cycles(m, q, ws.visited, ws.cycle_starts);
+    // One discovery per iteration, replayed by every 16-column group.
+    memo.ready = false;
     for (std::uint64_t j0 = 0; j0 < n; j0 += 16) {
-      detail::permute_rows_in_group(a.data(), n, j0, 16, q,
-                                    ws.cycle_starts, ws.subrow.data());
+      detail::permute_row_group(a.data(), m, n, j0, 16, q, &memo, 1, ws,
+                                ws.subrow.data(), nullptr, false);
     }
     benchmark::ClobberMemory();
   }

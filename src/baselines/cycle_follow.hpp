@@ -96,48 +96,4 @@ void cycle_following_transpose_limited(T* a, std::uint64_t m,
   }
 }
 
-/// Directed O(1)-auxiliary-space form of the limited variant: applies
-/// the raw C2R permutation (dir_c2r, identical to the transpose of the
-/// row-major m x n view) or its inverse R2C.  The gather multiplier
-/// flips between the mutually inverse linear maps — src(l) = l*n for
-/// C2R, src(l) = l*m for R2C (n*m ≡ 1 mod mn-1, Theorem 2's composition
-/// identity).  This is the last rung of the executor's OOM degradation
-/// ladder: strictly in-place, no scratch beyond registers, at the
-/// O(mn log mn)-and-worse work bound the decomposition exists to avoid.
-template <typename T>
-void cycle_following_permute_limited(T* a, std::uint64_t m, std::uint64_t n,
-                                     bool dir_c2r) {
-  inplace::detail::checked_extent(a, m, n);
-  const std::uint64_t total = m * n;
-  if (total < 2 || m == 1 || n == 1) {
-    return;
-  }
-  const std::uint64_t wrap = total - 1;
-  const std::uint64_t mult = dir_c2r ? n : m;
-  for (std::uint64_t y = 1; y < wrap; ++y) {
-    // Leader check: walk the cycle; abandon if any member is smaller.
-    bool leader = true;
-    for (std::uint64_t l = y * mult % wrap; l != y; l = l * mult % wrap) {
-      if (l < y) {
-        leader = false;
-        break;
-      }
-    }
-    if (!leader) {
-      continue;
-    }
-    const T saved = a[y];
-    std::uint64_t l = y;
-    for (;;) {
-      const std::uint64_t src = l * mult % wrap;
-      if (src == y) {
-        a[l] = saved;
-        break;
-      }
-      a[l] = a[src];
-      l = src;
-    }
-  }
-}
-
 }  // namespace inplace::baselines

@@ -180,6 +180,8 @@ struct context_key {
   /// permutation (unit axes dropped, contiguous groups fused), so every
   /// raw shape that reduces to the same residual problem shares one plan.
   /// rank <= tensor_max_rank packs the perm inline as 4-bit nibbles.
+  /// permute reuses them: nd_perm holds the classifier's perm_kind and
+  /// nd_dims[0, nd_rank) its parameters or the content fingerprint.
   std::array<std::uint64_t, tensor_max_rank> nd_dims{};
   std::uint32_t nd_perm = 0;
   std::uint8_t nd_rank = 0;
@@ -349,7 +351,8 @@ class transpose_context {
   /// the library owns — rotation juggling, the COBRA bit-reversal
   /// kernel, the 2-D transpose engines for i*a mod (n-1) perms, or the
   /// memoized generic cycle-leader scan — and the resolved permuter<T>
-  /// arena is cached under (n, direction, content fingerprint), so
+  /// arena is cached under (n, direction, verdict, and the verdict's
+  /// exact parameters or, for generic, the content fingerprint), so
   /// repeated applications of one permutation skip scratch allocation
   /// and cycle discovery.  Every path records telemetry, including the
   /// empty and identity early returns.
@@ -380,14 +383,34 @@ class transpose_context {
     detail::context_key key = detail::make_context_key<T>(mode_permute, opts);
     key.rows = n;
     key.order = inverse ? 1 : 0;
-    // The permutation's *content* fingerprint rides in the first two
-    // nd_dims slots (zero for every other mode; the classifier's finals
-    // are never zero), so two different permutations of one length can
-    // never alias one cached arena.  The index type is deliberately not
-    // part of the key: the arena is content-addressed and its execute
-    // accepts any integral I.
-    key.nd_dims[0] = plan.fingerprint_lo;
-    key.nd_dims[1] = plan.fingerprint_hi;
+    // The classifier's verdict picks the arena family.  The structured
+    // kinds are keyed by their exact parameters, which determine the
+    // permutation; a generic permutation is keyed by its content
+    // fingerprint, so two permutations of one length rarely share an
+    // arena — and when they do, the arena's exact match against the pi
+    // it memoized refuses the stranger.  The index type is deliberately
+    // not part of the key: execute accepts any integral I.
+    key.nd_perm = static_cast<std::uint32_t>(plan.kind);
+    switch (plan.kind) {
+      case perm_kind::rotation:
+        key.nd_dims[0] = plan.rot_k;
+        key.nd_rank = 1;
+        break;
+      case perm_kind::bit_reversal:
+        key.nd_dims[0] = plan.log2n;
+        key.nd_rank = 1;
+        break;
+      case perm_kind::transpose2d:
+        key.nd_dims[0] = plan.t2d_rows;
+        key.nd_dims[1] = plan.t2d_cols;
+        key.nd_rank = 2;
+        break;
+      default:
+        key.nd_dims[0] = plan.fingerprint_lo;
+        key.nd_dims[1] = plan.fingerprint_hi;
+        key.nd_rank = 2;
+        break;
+    }
 
     run_cached<permuter<T>>(
         key, [&] { return new permuter<T>(plan, opts, data); },

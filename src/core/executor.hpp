@@ -28,7 +28,8 @@
 // replays the completed passes' inverses in reverse (rollback_passes),
 // restoring the caller's buffer bit-exactly before the exception
 // continues.  Scratch comes from acquire_scratch, which walks the OOM
-// degradation ladder instead of failing.
+// degradation ladder instead of failing; its bottom rung is the cycle
+// walker's leader-min rung (core/cycle_walker.hpp).
 
 #include <algorithm>
 #include <array>
@@ -42,8 +43,8 @@
 #include <string>
 #include <type_traits>
 
-#include "baselines/cycle_follow.hpp"
 #include "core/contracts.hpp"
+#include "core/cycle_walker.hpp"
 #include "core/equations.hpp"
 #include "core/errors.hpp"
 #include "core/failpoint.hpp"
@@ -129,8 +130,8 @@ struct tile_scratch final : tile_scratch_base {
   [[nodiscard]] std::size_t cached_bytes() const override {
     std::size_t total =
         (ws.line.size() + ws.head.size() + ws.subrow.size()) * sizeof(chunk);
-    total += ws.visited.size();
-    total += (ws.cycle_starts.capacity() + ws.offsets.size() +
+    total += ws.visited.bytes();
+    total += (ws.cycles.starts.capacity() + ws.offsets.size() +
               ws.index.size() + memo.starts.capacity()) *
              sizeof(std::uint64_t);
     return total;
@@ -191,8 +192,8 @@ struct scratch_bundle {
 ///   reduced      — serial (threads = 1), minimum sub-row width, a
 ///                  single workspace
 ///   cycle_follow — no scratch at all; the executor dispatches to the
-///                  O(1)-space cycle-following permutation instead of
-///                  the planned engine
+///                  cycle walker's O(1)-space leader-min rung
+///                  (run_cycle_follow) instead of the planned engine
 ///
 /// Demotion rewrites the plan to match (rung, threads, block_width), so
 /// everything downstream — engines, telemetry, cached_bytes — sees a
@@ -272,12 +273,21 @@ scratch_bundle<T> acquire_scratch(transpose_plan& plan) {
 }
 
 /// Executes a cycle_follow-rung plan: the strictly in-place directed
-/// permutation, serial, no scratch (Dudek et al.'s problem class; the
-/// paper's introduction's cycle-following baseline).
+/// permutation, serial, no scratch — the walker's leader-min rung over
+/// the linear map l -> l*mult mod (mn-1), the paper introduction's
+/// cycle-following baseline (Dudek et al.'s problem class).  C2R gathers
+/// with mult = n, R2C with mult = m: n*m = 1 mod (mn-1), so the two maps
+/// are mutually inverse (Theorem 2's composition identity); 0 and mn-1
+/// are fixed.
 template <typename T>
 void run_cycle_follow(T* data, const transpose_plan& plan) {
-  baselines::cycle_following_permute_limited(
-      data, plan.m, plan.n, plan.dir == direction::c2r);
+  const std::uint64_t wrap = plan.m * plan.n - 1;
+  const std::uint64_t mult = plan.dir == direction::c2r ? plan.n : plan.m;
+  const auto src = [wrap, mult](std::uint64_t l) { return l * mult % wrap; };
+  visited_map none;
+  element_mover<T> mv(data);
+  discover_cycles(wrap, src, none,
+                  [&](std::uint64_t y) { move_cycle(mv, src, y, wrap); });
 }
 
 // --- the pass pipeline -------------------------------------------------------
@@ -773,7 +783,7 @@ class transposer {
     }
     total += a_.memo.starts.capacity() * sizeof(std::uint64_t);
     for (const auto& g : a_.col_memo.groups) {
-      total += g.capacity() * sizeof(std::uint64_t);
+      total += g.starts.capacity() * sizeof(std::uint64_t);
     }
     return total;
   }

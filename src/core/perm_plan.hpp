@@ -16,13 +16,13 @@
 //                 engines (Eq. 24/26 kernels) via transposer<T>
 //   generic       memoized cycle-leader scan with the byte-map -> bitset
 //                 -> O(1) leader-min scratch ladder (Dudek et al.'s
-//                 problem class; the ladder mirrors detail::
-//                 acquire_scratch's rungs)
+//                 problem class; core/cycle_walker.hpp)
 //
 // The plan is element-type independent, like transpose_plan.  The
 // classifier validates every index (< n) before anything mutates and
 // throws inplace::error otherwise; bijectivity is the caller's contract
-// (checked mode proves it during execution via the coverage machinery).
+// (the generic executor's cycle walk refuses a non-bijection before
+// anything moves; checked mode proves it on the other paths too).
 
 #include <cstddef>
 #include <cstdint>
@@ -89,8 +89,9 @@ struct perm_plan {
   scratch_rung rung = scratch_rung::full;
 
   /// Content fingerprint of pi (two independent 64-bit FNV streams):
-  /// the context cache key carries it so two different permutations of
-  /// one length never alias a cached arena.
+  /// the context cache key carries it for generic plans, so two
+  /// different permutations of one length do not share a cached arena
+  /// (the arena's exact match refuses any that collide).
   std::uint64_t fingerprint_lo = 0;
   std::uint64_t fingerprint_hi = 0;
 };

@@ -158,32 +158,6 @@ void shuffle_rows_scatter_parallel(T* a, std::uint64_t m, std::uint64_t n,
   }
 }
 
-/// Parallel whole-array row permutation (gather dst[i] = src[perm(i)]):
-/// cycles are discovered once, then every width-wide column group replays
-/// them independently (Section 4.7).
-template <typename T, typename PermFn>
-void permute_rows_parallel(T* a, std::uint64_t m, std::uint64_t n,
-                           std::uint64_t width, PermFn perm,
-                           workspace_pool<T>& pool) {
-  auto& ws0 = pool.front();
-  find_cycles(m, perm, ws0.visited, ws0.cycle_starts);
-  if (ws0.cycle_starts.empty()) {
-    return;
-  }
-  const std::vector<std::uint64_t>& cycles = ws0.cycle_starts;
-  const auto groups =
-      static_cast<std::int64_t>((n + width - 1) / width);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 4)
-#endif
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
-    const std::uint64_t w = std::min(width, n - j0);
-    permute_rows_in_group(a, n, j0, w, perm, cycles,
-                          pool.local().subrow.data());
-  }
-}
-
 /// Whether the kernel layer should run row i's d' shuffle, and the
 /// segment geometry it needs.  Row i's index stream d'_i(j) is piecewise
 /// affine: within each of the c segments of length b = n/c, advance()
@@ -340,6 +314,28 @@ void r2c_row_pass(T* a, const Math& mm, workspace_pool<T>& pool,
   }
 }
 
+/// The column-shuffle memo's per-group slots for `groups` groups (null
+/// with no memo), sized on first use.  Checked builds REQUIRE a warm memo
+/// to come from the same pass (`key`) before any group moves.
+inline cycle_memo* col_memo_slots(col_cycle_memo* memo, std::uint64_t groups,
+                                  [[maybe_unused]] std::uint64_t key) {
+  if (memo == nullptr) {
+    return nullptr;
+  }
+  if (memo->groups.empty()) {
+    // inplace-lint: allow-next(raw-alloc): one-time cycle-memo
+    // population, bounded by the group count and reused on every replay
+    memo->groups.resize(static_cast<std::size_t>(groups));
+  }
+  INPLACE_REQUIRE(memo->groups.size() == groups &&
+                      (!memo->groups.front().ready ||
+                       memo->groups.front().key == key),
+                  "col_cycle_memo replayed against a different "
+                  "shape/width/pass than the one that discovered it "
+                  "(stale memo would silently corrupt the buffer)");
+  return memo->groups.data();
+}
+
 /// Fused column shuffle for C2R (Section 4.1-4.2 sharpened): instead of
 /// [rotate p: coarse+fine] + [permute q], each width-wide group runs
 ///   1. a fine streaming rotation by (j - j0) mod m, then
@@ -350,7 +346,7 @@ void r2c_row_pass(T* a, const Math& mm, workspace_pool<T>& pool,
 /// An optional col_cycle_memo caches each group's cycle leaders across
 /// executions of one plan: the first run discovers them (into the memo
 /// slot instead of the per-thread scratch), every later run replays them
-/// and skips find_cycles entirely.
+/// with no discovery walk.
 template <typename T, typename Math>
 void c2r_col_shuffle(T* a, const Math& mm, std::uint64_t width,
                      workspace_pool<T>& pool,
@@ -359,26 +355,13 @@ void c2r_col_shuffle(T* a, const Math& mm, std::uint64_t width,
                      bool stream = false) {
   const std::uint64_t m = mm.m;
   const std::uint64_t n = mm.n;
-  const auto groups = static_cast<std::int64_t>((n + width - 1) / width);
-  const bool replay = memo != nullptr && memo->ready;
-  const std::uint64_t want =
-      memo_fingerprint(m, n, width, memo_pass::col_c2r);
-  if (memo != nullptr && !replay) {
-    // inplace-lint: allow-next(raw-alloc): one-time cycle-memo
-    // population, bounded by the group count and reused on every replay
-    memo->groups.assign(static_cast<std::size_t>(groups), {});
-  }
-  INPLACE_REQUIRE(!replay || memo->key == want,
-                  "col_cycle_memo replayed against a different "
-                  "shape/width/pass than the one that discovered it "
-                  "(stale memo would silently corrupt the buffer)");
-  INPLACE_CHECK(!replay ||
-                    memo->groups.size() == static_cast<std::size_t>(groups),
-                "col_cycle_memo group count does not match the plan");
+  const std::uint64_t groups = (n + width - 1) / width;
+  const std::uint64_t key = memo_fingerprint(m, n, width, memo_pass::col_c2r);
+  cycle_memo* slots = col_memo_slots(memo, groups, key);
 #if defined(INPLACE_HAVE_OPENMP)
 #pragma omp parallel for schedule(dynamic, 4)
 #endif
-  for (std::int64_t g = 0; g < groups; ++g) {
+  for (std::int64_t g = 0; g < static_cast<std::int64_t>(groups); ++g) {
     workspace<T>& ws = pool.local();
     const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
     const std::uint64_t w = std::min(width, n - j0);
@@ -392,22 +375,9 @@ void c2r_col_shuffle(T* a, const Math& mm, std::uint64_t width,
       const std::uint64_t v = mm.q(i) + shift;
       return v >= m ? v - m : v;
     };
-    if (memo != nullptr) {
-      auto& starts = memo->groups[static_cast<std::size_t>(g)];
-      if (!replay) {
-        find_cycles(m, perm, ws.visited, starts);
-      }
-      permute_rows_in_group(a, n, j0, w, perm, starts, ws.subrow.data(), ks,
-                            stream);
-    } else {
-      find_cycles(m, perm, ws.visited, ws.cycle_starts);
-      permute_rows_in_group(a, n, j0, w, perm, ws.cycle_starts,
-                            ws.subrow.data(), ks, stream);
-    }
-  }
-  if (memo != nullptr) {
-    memo->ready = true;
-    memo->key = want;
+    permute_row_group(a, m, n, j0, w, perm,
+                      slots != nullptr ? slots + g : nullptr, key, ws,
+                      ws.subrow.data(), ks, stream);
   }
 }
 
@@ -422,26 +392,13 @@ void r2c_col_shuffle(T* a, const Math& mm, std::uint64_t width,
                      bool stream = false) {
   const std::uint64_t m = mm.m;
   const std::uint64_t n = mm.n;
-  const auto groups = static_cast<std::int64_t>((n + width - 1) / width);
-  const bool replay = memo != nullptr && memo->ready;
-  const std::uint64_t want =
-      memo_fingerprint(m, n, width, memo_pass::col_r2c);
-  if (memo != nullptr && !replay) {
-    // inplace-lint: allow-next(raw-alloc): one-time cycle-memo
-    // population, bounded by the group count and reused on every replay
-    memo->groups.assign(static_cast<std::size_t>(groups), {});
-  }
-  INPLACE_REQUIRE(!replay || memo->key == want,
-                  "col_cycle_memo replayed against a different "
-                  "shape/width/pass than the one that discovered it "
-                  "(stale memo would silently corrupt the buffer)");
-  INPLACE_CHECK(!replay ||
-                    memo->groups.size() == static_cast<std::size_t>(groups),
-                "col_cycle_memo group count does not match the plan");
+  const std::uint64_t groups = (n + width - 1) / width;
+  const std::uint64_t key = memo_fingerprint(m, n, width, memo_pass::col_r2c);
+  cycle_memo* slots = col_memo_slots(memo, groups, key);
 #if defined(INPLACE_HAVE_OPENMP)
 #pragma omp parallel for schedule(dynamic, 4)
 #endif
-  for (std::int64_t g = 0; g < groups; ++g) {
+  for (std::int64_t g = 0; g < static_cast<std::int64_t>(groups); ++g) {
     workspace<T>& ws = pool.local();
     const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
     const std::uint64_t w = std::min(width, n - j0);
@@ -451,27 +408,14 @@ void r2c_col_shuffle(T* a, const Math& mm, std::uint64_t width,
       v %= m;
       return mm.q_inv(v);
     };
-    if (memo != nullptr) {
-      auto& starts = memo->groups[static_cast<std::size_t>(g)];
-      if (!replay) {
-        find_cycles(m, perm, ws.visited, starts);
-      }
-      permute_rows_in_group(a, n, j0, w, perm, starts, ws.subrow.data(), ks,
-                            stream);
-    } else {
-      find_cycles(m, perm, ws.visited, ws.cycle_starts);
-      permute_rows_in_group(a, n, j0, w, perm, ws.cycle_starts,
-                            ws.subrow.data(), ks, stream);
-    }
+    permute_row_group(a, m, n, j0, w, perm,
+                      slots != nullptr ? slots + g : nullptr, key, ws,
+                      ws.subrow.data(), ks, stream);
     for (std::uint64_t jj = 0; jj < w; ++jj) {
       ws.offsets[jj] = (w - 1 - jj) % m;
     }
     fine_rotate_group(a, m, n, j0, w, ws.offsets.data(), ws.head.data(), ks,
                       ws.index.data(), stream);
-  }
-  if (memo != nullptr) {
-    memo->ready = true;
-    memo->key = want;
   }
 }
 

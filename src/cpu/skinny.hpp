@@ -129,25 +129,11 @@ template <typename T, typename Math>
 void skinny_permute_q(T* a, const Math& mm, workspace<T>& ws,
                       cycle_memo* memo, const kernels::kernel_set* ks,
                       bool stream) {
-  const auto q = [&](std::uint64_t i) { return mm.q(i); };
-  const std::uint64_t want =
-      memo_fingerprint(mm.m, mm.n, /*width=*/mm.n, memo_pass::row_q);
-  std::vector<std::uint64_t>& starts =
-      memo != nullptr ? memo->starts : ws.cycle_starts;
-  if (memo == nullptr || !memo->ready) {
-    find_cycles(mm.m, q, ws.visited, starts);
-    if (memo != nullptr) {
-      memo->ready = true;
-      memo->key = want;
-    }
-  } else {
-    INPLACE_REQUIRE(memo->key == want,
-                    "cycle_memo replayed against a different shape/pass "
-                    "than the one that discovered it (stale memo would "
-                    "silently corrupt the buffer)");
-  }
-  permute_rows_in_group(a, mm.n, /*j0=*/0, /*width=*/mm.n, q, starts,
-                        ws.line.data(), ks, stream);
+  permute_row_group(
+      a, mm.m, mm.n, /*j0=*/0, /*width=*/mm.n,
+      [&](std::uint64_t i) { return mm.q(i); }, memo,
+      memo_fingerprint(mm.m, mm.n, /*width=*/mm.n, memo_pass::row_q), ws,
+      ws.line.data(), ks, stream);
 }
 
 /// R2C pass 1 — inverse row permutation q^-1, whole-row cycle following
@@ -157,25 +143,11 @@ template <typename T, typename Math>
 void skinny_permute_q_inv(T* a, const Math& mm, workspace<T>& ws,
                           cycle_memo* memo, const kernels::kernel_set* ks,
                           bool stream) {
-  const auto q_inv = [&](std::uint64_t i) { return mm.q_inv(i); };
-  const std::uint64_t want =
-      memo_fingerprint(mm.m, mm.n, /*width=*/mm.n, memo_pass::row_q_inv);
-  std::vector<std::uint64_t>& starts =
-      memo != nullptr ? memo->starts : ws.cycle_starts;
-  if (memo == nullptr || !memo->ready) {
-    find_cycles(mm.m, q_inv, ws.visited, starts);
-    if (memo != nullptr) {
-      memo->ready = true;
-      memo->key = want;
-    }
-  } else {
-    INPLACE_REQUIRE(memo->key == want,
-                    "cycle_memo replayed against a different shape/pass "
-                    "than the one that discovered it (stale memo would "
-                    "silently corrupt the buffer)");
-  }
-  permute_rows_in_group(a, mm.n, /*j0=*/0, /*width=*/mm.n, q_inv, starts,
-                        ws.line.data(), ks, stream);
+  permute_row_group(
+      a, mm.m, mm.n, /*j0=*/0, /*width=*/mm.n,
+      [&](std::uint64_t i) { return mm.q_inv(i); }, memo,
+      memo_fingerprint(mm.m, mm.n, /*width=*/mm.n, memo_pass::row_q_inv), ws,
+      ws.line.data(), ks, stream);
 }
 
 /// R2C pass 3 — row shuffle (gather d') fused with the inverse

@@ -119,14 +119,28 @@ TEST(CheckedShuffles, ColumnShuffleDuplicateRowIsCaught) {
 }
 
 TEST(CheckedShuffles, NonBijectivePermutationIsCaughtInCycleWalk) {
-  std::vector<std::uint8_t> visited(6);
-  std::vector<std::uint64_t> starts;
-  // 0 -> 1 -> 2 -> 1 merges two cycles; the walk would never return to 0.
-  EXPECT_THROW(inplace::detail::find_cycles(
-                   6,
-                   [](std::uint64_t i) { return i == 0 ? 1ull : (i == 1 ? 2ull : 1ull); },
-                   visited, starts),
-               contract_violation);
+  // Library index math that is not a bijection trips a contract in the
+  // discovery walk on every visited-scratch rung.
+  const auto merge = [](std::uint64_t i) {
+    // 0 -> 1 -> 2 -> 1 merges two cycles; the walk never returns to 0.
+    return i == 0 ? 1ull : (i == 1 ? 2ull : (i == 2 ? 1ull : i));
+  };
+  const auto collapse = [](std::uint64_t i) { return i / 2; };  // 0,0,1,1,..
+  const auto escape = [](std::uint64_t i) { return i + 1; };    // 5 -> 6
+  for (const inplace::scratch_rung rung :
+       {inplace::scratch_rung::full, inplace::scratch_rung::reduced,
+        inplace::scratch_rung::cycle_follow}) {
+    SCOPED_TRACE(inplace::rung_name(rung));
+    inplace::detail::visited_map visited;
+    visited.allocate(6, rung);
+    const auto none = [](std::uint64_t) {};
+    EXPECT_THROW(inplace::detail::discover_cycles(6, merge, visited, none),
+                 contract_violation);
+    EXPECT_THROW(inplace::detail::discover_cycles(6, collapse, visited, none),
+                 contract_violation);
+    EXPECT_THROW(inplace::detail::discover_cycles(6, escape, visited, none),
+                 contract_violation);
+  }
 }
 
 // --- corrupted index math through a full engine ------------------------------

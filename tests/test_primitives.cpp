@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "core/permute.hpp"
@@ -64,38 +66,79 @@ TEST(Primitives, ColumnGatherMatchesModel) {
 }
 
 TEST(Primitives, FindCyclesCoversPermutation) {
-  const std::uint64_t m = 12;
-  const auto perm = [m](std::uint64_t i) { return (i * 5) % m; };  // gcd=1
-  std::vector<std::uint8_t> visited(m);
-  std::vector<std::uint64_t> cycles;
-  find_cycles(m, perm, visited, cycles);
-  // Every element visited exactly once.
-  for (std::uint64_t i = 0; i < m; ++i) {
-    EXPECT_TRUE(visited[i]) << i;
+  // On every visited-scratch rung, discovery reports exactly the minima
+  // of the nontrivial cycles, in increasing order (fixed points skipped).
+  util::xoshiro256 rng(5);
+  for (const std::uint64_t m : {1u, 2u, 12u, 97u, 640u}) {
+    for (const std::uint64_t mult : {1u, 5u, 7u}) {
+      if (std::gcd(mult, m) != 1) {
+        continue;
+      }
+      const std::uint64_t add = rng.uniform(0, m);
+      const auto perm = [m, mult, add](std::uint64_t i) {
+        return (i * mult + add) % m;
+      };
+      std::vector<std::uint64_t> want;
+      std::vector<bool> seen(m, false);
+      for (std::uint64_t y = 0; y < m; ++y) {
+        if (seen[y]) {
+          continue;
+        }
+        std::uint64_t len = 0;
+        for (std::uint64_t i = y; !seen[i]; i = perm(i), ++len) {
+          seen[i] = true;
+        }
+        if (len > 1) {
+          want.push_back(y);
+        }
+      }
+      for (const scratch_rung rung :
+           {scratch_rung::full, scratch_rung::reduced,
+            scratch_rung::cycle_follow}) {
+        visited_map v;
+        v.allocate(m, rung);
+        std::vector<std::uint64_t> got;
+        discover_cycles(m, perm, v,
+                        [&got](std::uint64_t y) { got.push_back(y); });
+        EXPECT_EQ(got, want) << "m=" << m << " mult=" << mult
+                             << " rung=" << rung_name(rung);
+      }
+    }
   }
-  // Fixed points are not recorded as cycles.
-  std::vector<std::uint8_t> v2(m);
-  std::vector<std::uint64_t> c2;
-  find_cycles(m, [](std::uint64_t i) { return i; }, v2, c2);
-  EXPECT_TRUE(c2.empty());
 }
 
 TEST(Primitives, PermuteRowsInGroupMatchesModel) {
-  const std::uint64_t m = 10;
-  const std::uint64_t n = 8;
-  auto a = util::iota_matrix<std::uint32_t>(m, n);
-  const auto src = a;
-  const auto perm = [m](std::uint64_t i) { return (i * 3 + 1) % m; };
-  std::vector<std::uint8_t> visited(m);
-  std::vector<std::uint64_t> cycles;
-  find_cycles(m, perm, visited, cycles);
-  std::vector<std::uint32_t> tmp(n);
-  // Apply in two groups of width 4.
-  permute_rows_in_group(a.data(), n, 0, 4, perm, cycles, tmp.data());
-  permute_rows_in_group(a.data(), n, 4, 4, perm, cycles, tmp.data());
-  for (std::uint64_t i = 0; i < m; ++i) {
-    for (std::uint64_t j = 0; j < n; ++j) {
-      EXPECT_EQ(a[i * n + j], src[perm(i) * n + j]) << i << "," << j;
+  // Strided sub-row groups of every width, with and without a memo (the
+  // replay must move exactly what discovery moved), against the gather
+  // model dst[i][j] = src[perm(i)][j].
+  util::xoshiro256 rng(17);
+  for (int t = 0; t < 40; ++t) {
+    const std::uint64_t m = rng.uniform(1, 40);
+    const std::uint64_t n = rng.uniform(1, 24);
+    const std::uint64_t w = rng.uniform(1, n + 1);
+    std::vector<std::uint64_t> p(m);
+    std::iota(p.begin(), p.end(), std::uint64_t{0});
+    for (std::uint64_t i = m; i > 1; --i) {
+      std::swap(p[i - 1], p[rng.uniform(0, i)]);
+    }
+    const auto perm = [&p](std::uint64_t i) { return p[i]; };
+    auto a = util::iota_matrix<std::uint32_t>(m, n);
+    const auto src = a;
+    workspace<std::uint32_t> ws;
+    ws.reserve(m, n, w);
+    cycle_memo memo;
+    for (std::uint64_t j0 = 0; j0 < n; j0 += w) {
+      const std::uint64_t width = std::min(w, n - j0);
+      permute_row_group(a.data(), m, n, j0, width, perm,
+                        j0 % (2 * w) == 0 ? &memo : nullptr, 7, ws,
+                        ws.subrow.data(), nullptr, false);
+    }
+    for (std::uint64_t i = 0; i < m; ++i) {
+      for (std::uint64_t j = 0; j < n; ++j) {
+        ASSERT_EQ(a[i * n + j], src[perm(i) * n + j])
+            << "m=" << m << " n=" << n << " w=" << w << " at " << i << ","
+            << j;
+      }
     }
   }
 }

@@ -56,7 +56,7 @@ run_matrix_entry() {
   echo "=== [$name] ctest engines, INPLACE_FORCE_KERNEL_TIER=scalar"
   (cd "$build_dir" && INPLACE_FORCE_KERNEL_TIER=scalar \
      ctest --output-on-failure -j "$jobs" \
-           -R 'Transpose|Skinny|Integration|Executor|Primitives|Permute|Tensor')
+           -R 'Transpose|Skinny|Integration|Executor|Primitives|Permute|Tensor|Walker')
 
   # Mirror pass with the in-register tile tier forced: every eligible
   # skinny plan routes through the vpunpck/vpermd ladders and their fused
@@ -65,7 +65,7 @@ run_matrix_entry() {
   echo "=== [$name] ctest engines, INPLACE_FORCE_KERNEL_TIER=inreg"
   (cd "$build_dir" && INPLACE_FORCE_KERNEL_TIER=inreg \
      ctest --output-on-failure -j "$jobs" \
-           -R 'Transpose|Skinny|Integration|Executor|Primitives|Permute|Tensor')
+           -R 'Transpose|Skinny|Integration|Executor|Primitives|Permute|Tensor|Walker')
 
   # Third pass — failure semantics under injection: the whole process runs
   # with the OOM ladder env-forced off its first rung while the suite's own
@@ -75,7 +75,7 @@ run_matrix_entry() {
   # registry tests assert a pristine arming state and would fight the env.
   echo "=== [$name] ctest failure semantics, INPLACE_FAILPOINTS=exec.alloc.full:oom"
   (cd "$build_dir" && INPLACE_FAILPOINTS="exec.alloc.full:oom" \
-     ctest --output-on-failure -j "$jobs" -R 'Rollback|OomLadder|TensorFailure|PermFailure')
+     ctest --output-on-failure -j "$jobs" -R 'Rollback|OomLadder|TensorFailure|PermFailure|Walker')
 }
 
 # Compile-time companion to the TSan runtime entry: a clang build with
