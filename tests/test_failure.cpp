@@ -1216,6 +1216,70 @@ TEST(PermFailure, OomLadderWalksGenericRungsAndStaysExact) {
   }
 }
 
+TEST(PermFailure, OomOnTheMemoKeyDemotesAndExecutionAllocatesNothing) {
+  // A generic arena's memo key (the pi its leaders belong to) is sized
+  // inside the visited-scratch funnel: an OOM on it demotes at
+  // construction instead of escaping a later execute(), and the
+  // leader-min rung keeps no memo at all.
+  const auto pi = perm_for_kind(perm_kind::generic, 300);
+  std::vector<double> buf(300);
+  util::fill_iota(std::span<double>(buf));
+  const auto src = buf;
+  const auto want = perm_reference(src, pi, false);
+  const perm_plan plan = make_perm_plan<std::uint32_t>(
+      std::span<const std::uint32_t>(pi), false, options{}, sizeof(double));
+  {
+    // The byte-map rung's first aligned allocation is the memo key.
+    std::optional<permuter<double>> p;
+    {
+      fp::scoped_trigger no_key("alloc.aligned", fp::mode::oom, /*skip=*/0,
+                                /*count=*/1);
+      p.emplace(plan, options{}, buf.data());
+      EXPECT_EQ(fp::fires("alloc.aligned"), 1u);
+    }
+    EXPECT_EQ(p->plan().rung, scratch_rung::reduced);
+    EXPECT_GE(p->cached_bytes(), pi.size() * sizeof(std::uint64_t))
+        << "the memo key must be sized at construction";
+    for (int call = 0; call < 2; ++call) {  // cold, then the memo replay
+      auto run = src;
+      p->execute(run.data(), std::span<const std::uint32_t>(pi), false);
+      expect_same(run, want, "memo-key OOM demoted to the bitset rung");
+    }
+  }
+  for (const bool inverse : {false, true}) {
+    // Every aligned allocation denied: the leader-min rung, whose cold
+    // and repeated runs never reach the aligned allocator.
+    SCOPED_TRACE(inverse ? "scatter" : "gather");
+    const perm_plan q = make_perm_plan<std::uint32_t>(
+        std::span<const std::uint32_t>(pi), inverse, options{},
+        sizeof(double));
+    fp::scoped_trigger no_alloc("alloc.aligned", fp::mode::oom);
+    permuter<double> p(q, options{}, buf.data());
+    EXPECT_EQ(p.plan().rung, scratch_rung::cycle_follow);
+    EXPECT_EQ(p.cached_bytes(), 0u);
+    const std::uint64_t attempts = fp::hits("alloc.aligned");
+    for (int call = 0; call < 2; ++call) {
+      auto run = src;
+      p.execute(run.data(), std::span<const std::uint32_t>(pi), false);
+      expect_same(run, perm_reference(src, pi, inverse), "leader-min rung");
+    }
+    EXPECT_EQ(fp::hits("alloc.aligned"), attempts)
+        << "a leader-min execution reached the aligned allocator";
+    EXPECT_EQ(p.cached_bytes(), 0u) << "the leader-min rung kept a memo";
+    // Its rollback rediscovers the applied leaders, also scratch-free.
+    for (const std::uint64_t skip : {0u, 1u, 5u}) {
+      auto run = src;
+      fp::scoped_trigger stage("perm.exec.stage", fp::mode::fault, skip,
+                               /*count=*/1);
+      EXPECT_THROW(
+          p.execute(run.data(), std::span<const std::uint32_t>(pi), false),
+          fp::injected_fault);
+      expect_same(run, src, "leader-min rung did not roll back");
+    }
+    EXPECT_EQ(fp::hits("alloc.aligned"), attempts);
+  }
+}
+
 TEST(PermFailure, AllocFaultThroughContextLeavesNothingBuilt) {
   // A non-OOM alloc fault (an injected hard fault, not bad_alloc) must
   // propagate out of the arena build with the buffer untouched and no
