@@ -13,7 +13,8 @@
 //                its minimum slot, on one of three visited-scratch rungs:
 //                a byte map, a packed bitset, or no scratch at all
 //                (leader-min: a candidate leads iff walking its cycle
-//                meets no smaller slot — O(1) space, O(n * cycle) time);
+//                meets no smaller slot — O(1) space, O(n * cycle) time,
+//                or one leader at a time with next_leader());
 //   application  move_cycle() moves one cycle through a block mover —
 //                one element (element_mover) or a strided run of `width`
 //                elements (block_mover: a column group's sub-rows, whole
@@ -221,6 +222,23 @@ void discover_cycles(std::uint64_t n, IndexFn f, visited_map& v,
       discover_cycles_on<C, scratch_rung::cycle_follow>(n, f, v, on_leader);
       return;
   }
+}
+
+/// The smallest leader >= `from` of a nontrivial cycle of f, or n: the
+/// leader-min rung one leader at a time, in O(1) space.  f must be a
+/// bijection a discovery sweep has already proven.
+template <typename IndexFn>
+std::uint64_t next_leader(std::uint64_t n, IndexFn f, std::uint64_t from) {
+  for (std::uint64_t y = from; y < n; ++y) {
+    std::uint64_t i = f(y);
+    while (i > y) {
+      i = f(i);
+    }
+    if (i == y && f(y) != y) {
+      return y;
+    }
+  }
+  return n;
 }
 
 /// Moves single elements slot i <-> base[i * stride], holding the one

@@ -22,14 +22,14 @@
 // plans run the skinny passes on W-lane chunks, with the tile pass fused
 // into the row pass.
 //
-// One loop (run_passes) executes every list: it opens each pass's
-// telemetry span, fires the boundary failpoint
-// "<engine>.<dir>.after_<pass>" after the pass completes, and on a throw
-// replays the completed passes' inverses in reverse (rollback_passes),
-// restoring the caller's buffer bit-exactly before the exception
-// continues.  Scratch comes from acquire_scratch, which walks the OOM
-// degradation ladder instead of failing; its bottom rung is the cycle
-// walker's leader-min rung (core/cycle_walker.hpp).
+// One stage loop (run_passes) executes every list, and the tensor and
+// permute front ends' stages too: it opens each pass's span, fires the
+// boundary failpoint "<engine>.<dir>.after_<pass>" after the pass, and on
+// a throw replays the completed passes' inverses in reverse
+// (rollback_passes), restoring the caller's buffer bit-exactly before the
+// exception continues.  Scratch comes from acquire_scratch, which walks
+// the OOM degradation ladder instead of failing; its bottom rung is the
+// cycle walker's leader-min rung (core/cycle_walker.hpp).
 
 #include <algorithm>
 #include <array>
@@ -61,40 +61,56 @@ namespace inplace {
 
 namespace detail {
 
-/// Emits one telemetry plan record for an execution about to run.
-/// Compiles to an empty function unless the translation unit defines
-/// INPLACE_TELEMETRY.  `from_cache` marks transpose_context cache hits so
-/// warm and cold executions separate in the collector's dedup table.
-template <typename T>
-inline void note_plan_record([[maybe_unused]] const transpose_plan& plan,
-                             [[maybe_unused]] bool from_cache = false) {
+/// Emits one telemetry plan record: the fields every front end shares
+/// here, its own through `fill`.  Compiles to an empty function unless
+/// the translation unit defines INPLACE_TELEMETRY.  `from_cache` marks
+/// transpose_context cache hits so warm and cold executions dedup apart.
+template <typename T, typename Fill>
+inline void note_record([[maybe_unused]] const char* engine,
+                        [[maybe_unused]] const char* direction,
+                        [[maybe_unused]] int threads,
+                        [[maybe_unused]] bool from_cache,
+                        [[maybe_unused]] scratch_rung rung,
+                        [[maybe_unused]] Fill&& fill) {
 #if INPLACE_TELEMETRY_ENABLED
   if (telemetry::current_sink() != nullptr) {
-    // Predict the pool this plan's request would get WITHOUT touching the
+    // Predict the pool this request would get WITHOUT touching the
     // OpenMP runtime.  The old probe constructed a thread_count_guard,
     // whose omp_set_num_threads mutates global state: two concurrent
     // telemetry-enabled transposes raced, and one could observe (or run
     // its parallel region with) the other's probe value.
-    const util::thread_probe probe = util::probe_thread_count(plan.threads);
+    const util::thread_probe probe = util::probe_thread_count(threads);
     telemetry::plan_record rec;
-    rec.engine = engine_name(plan.engine);
-    rec.direction = direction_name(plan.dir);
-    rec.m = plan.m;
-    rec.n = plan.n;
-    rec.block_width = plan.block_width;
+    rec.engine = engine;
+    rec.direction = direction;
     rec.elem_size = sizeof(T);
-    rec.strength_reduction = plan.strength_reduction;
-    rec.kernel_tier = plan.tile_block != 0
-                          ? kernels::tier_name_inreg(plan.ktier)
-                          : kernels::tier_name(plan.ktier);
     rec.threads_requested = probe.requested;
     rec.threads_active = probe.active;
     rec.threads_honored = probe.honored;
     rec.from_cache = from_cache;
-    rec.rung = rung_name(plan.rung);
+    rec.rung = rung_name(rung);
+    fill(rec);
     INPLACE_TELEMETRY_PLAN(rec);
   }
 #endif
+}
+
+/// The 2-D plan record of an execution about to run.
+template <typename T>
+inline void note_plan_record(const transpose_plan& plan,
+                             bool from_cache = false) {
+  note_record<T>(engine_name(plan.engine), direction_name(plan.dir),
+                 plan.threads, from_cache, plan.rung,
+                 [&plan](telemetry::plan_record& rec) {
+                   rec.m = plan.m;
+                   rec.n = plan.n;
+                   rec.block_width = plan.block_width;
+                   rec.strength_reduction = plan.strength_reduction;
+                   rec.kernel_tier =
+                       plan.tile_block != 0
+                           ? kernels::tier_name_inreg(plan.ktier)
+                           : kernels::tier_name(plan.ktier);
+                 });
 }
 
 // --- scratch acquisition -----------------------------------------------------
@@ -600,71 +616,119 @@ pass_list<T> lower_passes(const arena<T>& a) {
          direction_name(plan.dir) + ".after_" + pass;
 }
 
-/// Restores the caller's buffer after a failure at a pass boundary by
-/// running the inverses of the first `done` passes in reverse order.
-/// Best-effort by design: if an inverse pass itself fails, the buffer is
-/// left at a pass boundary — the documented "unrecoverable" row of the
+// --- the stage loop ----------------------------------------------------------
+
+/// The direction that undoes `dir`.
+[[nodiscard]] constexpr direction inverse_of(direction dir) {
+  return dir == direction::c2r ? direction::r2c : direction::c2r;
+}
+
+/// A stage's telemetry span: tag, bytes moved, scratch held.
+struct span_spec {
+  telemetry::stage tag = telemetry::stage::total;
+  std::uint64_t bytes = 0;
+  std::uint64_t scratch = 0;
+};
+
+/// Undoes the first `done` stages of a list run in direction `dir`, in
+/// reverse order, each body untuned in the opposite direction.
+/// Best-effort by design: if an inverse itself fails, the buffer is left
+/// at a stage boundary — the documented "unrecoverable" row of the
 /// failure taxonomy (DESIGN.md §11).  Never throws.
-template <typename T>
-void rollback_passes(T* data, arena<T>& a, const pass_list<T>& passes,
-                     std::size_t done) noexcept {
-  const direction inverse =
-      a.plan.dir == direction::c2r ? direction::r2c : direction::c2r;
+template <typename Stages>
+void rollback_passes(Stages& stages, std::size_t done,
+                     direction dir) noexcept {
   try {
     while (done > 0) {
-      --done;
-      passes.at[done].body(data, a, inverse, /*tuned=*/false);
+      stages.run(--done, inverse_of(dir), /*tuned=*/false);
     }
   } catch (...) {
     // Swallowed: the original exception (in flight in the caller) is the
     // one the user must see; a failed rollback downgrades the guarantee
-    // from "restored" to "left at a pass boundary", never hides errors.
+    // from "restored" to "left at a stage boundary", never hides errors.
   }
 }
 
-/// Runs a plan's passes on `data`: the one loop every 2-D execution goes
-/// through.  Each pass gets a telemetry span carrying 2*m*n*elem bytes of
-/// modelled traffic (the per-pass analogue of Eq. 37), and its boundary
-/// failpoint fires once it completes.  A throw at a boundary rolls the
-/// completed passes back before it continues.
-template <typename T>
-void run_passes(T* data, arena<T>& a, const pass_list<T>& passes) {
-  const transpose_plan& plan = a.plan;
-  // A pooled (blocked) arena runs its passes, and their inverses, on the
-  // plan's team.  The guard may raise the OpenMP pool past what the
-  // workspace pool was built for, so size the pool from the team about
-  // to launch.
-  std::optional<util::thread_count_guard> team;
-  if (a.pool) {
-    team.emplace(plan.threads);
-    a.pool->ensure(util::hardware_threads());
-  }
-  [[maybe_unused]] const std::uint64_t bytes = 2 * plan.m * plan.n * sizeof(T);
+/// The one stage loop: transposer's 2-D passes, nd_transposer's tensor
+/// passes and slabs, permuter's stages.  A stage list provides size();
+/// run(k, dir, tuned), whose inverse is the same body in the opposite
+/// direction (c2r means "as planned" where there is no C2R/R2C reading);
+/// boundary(k), the failpoint where stages [0, k) are complete, k in
+/// [0, size()]; and optionally span(k) and restores(k), true when stage
+/// k is itself a stage loop.  Forward runs are tuned.
+///
+/// A throw at a boundary rolls the completed stages back before it
+/// continues.  The mid-stage rule: a throw from inside a stage that
+/// restores itself counts as one at the boundary before it; any other
+/// stage is left half-applied, which no sequence of inverses undoes, so
+/// the buffer is left as-is.  Such stages are allocation-free loop code
+/// with no failpoints, so in practice every throw lands at a boundary.
+template <typename Stages>
+void run_passes(Stages& stages, direction dir) {
+  const std::size_t count = stages.size();
   std::size_t done = 0;
-  bool in_pass = false;
+  bool in_stage = false;
   try {
-    for (const pass<T>& p : passes) {
-      {
-        INPLACE_TELEMETRY_SPAN(pass_span, p.stage, bytes, 0);
-        in_pass = true;
-        p.body(data, a, plan.dir, /*tuned=*/true);
-        in_pass = false;
+    stages.boundary(0);
+    while (done < count) {
+      in_stage = true;
+      if constexpr (requires { stages.span(done); }) {
+        [[maybe_unused]] const span_spec sp = stages.span(done);
+        INPLACE_TELEMETRY_SPAN(stage_span, sp.tag, sp.bytes, sp.scratch);
+        stages.run(done, dir, /*tuned=*/true);
+      } else {
+        stages.run(done, dir, /*tuned=*/true);
       }
-      ++done;
-      // The name is built only while some failpoint is armed.
-      INPLACE_FAILPOINT(boundary_name(plan, p.name).c_str());
+      in_stage = false;
+      stages.boundary(++done);
     }
   } catch (...) {
-    // A throw inside a pass leaves its permutation half-applied, which no
-    // sequence of inverses undoes, so the buffer is left as-is.  Pass
-    // interiors are allocation-free loop code with no failpoints, so in
-    // practice every throw lands at a boundary.
-    if (!in_pass) {
-      rollback_passes(data, a, passes, done);
+    bool at_boundary = !in_stage;
+    if constexpr (requires { stages.restores(done); }) {
+      at_boundary = at_boundary || stages.restores(done);
+    }
+    if (at_boundary) {
+      rollback_passes(stages, done, dir);
     }
     throw;
   }
 }
+
+/// A transposer arena's pass list as a stage list: a span of 2*m*n*elem
+/// bytes per pass (Eq. 37 per pass) and "<engine>.<dir>.after_<pass>"
+/// once the pass completes.
+template <typename T>
+struct pass_stages {
+  T* data;
+  arena<T>& a;
+  const pass_list<T>& passes;
+  std::optional<util::thread_count_guard> team;
+
+  /// A pooled (blocked) arena runs its passes, and their inverses, on the
+  /// plan's team; the pool grows to cover it (a no-op after a forward
+  /// run).
+  pass_stages(T* d, arena<T>& ar, const pass_list<T>& list)
+      : data(d), a(ar), passes(list) {
+    if (a.pool) {
+      team.emplace(a.plan.threads);
+      a.pool->ensure(util::hardware_threads());
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const { return passes.size; }
+  void run(std::size_t k, direction dir, bool tuned) {
+    passes.at[k].body(data, a, dir, tuned);
+  }
+  void boundary(std::size_t k) const {
+    if (k > 0) {
+      // The name is built only while some failpoint is armed.
+      INPLACE_FAILPOINT(boundary_name(a.plan, passes.at[k - 1].name).c_str());
+    }
+  }
+  [[nodiscard]] span_spec span(std::size_t k) const {
+    return {passes.at[k].stage, 2 * a.plan.m * a.plan.n * sizeof(T), 0};
+  }
+};
 
 }  // namespace detail
 
@@ -763,7 +827,22 @@ class transposer {
     INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
                            2 * plan.m * plan.n * sizeof(T),
                            plan.scratch_elements() * sizeof(T));
-    detail::run_passes(data, a_, passes_);
+    detail::pass_stages<T> stages(data, a_, passes_);
+    detail::run_passes(stages, plan.dir);
+  }
+
+  /// Undoes one completed execution on `data` — the passes inverted,
+  /// untuned, in reverse (Theorems 1-2), or the cycle_follow rung's
+  /// opposite map — on this arena's scratch, acquiring none.
+  void undo(T* data) {
+    if (a_.plan.rung == scratch_rung::cycle_follow) {
+      transpose_plan inverse = a_.plan;
+      inverse.dir = detail::inverse_of(inverse.dir);
+      detail::run_cycle_follow(data, inverse);
+      return;
+    }
+    detail::pass_stages<T> stages(data, a_, passes_);
+    detail::rollback_passes(stages, stages.size(), a_.plan.dir);
   }
 
   /// Approximate bytes retained by this executor's cached state (scratch

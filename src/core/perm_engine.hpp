@@ -26,14 +26,15 @@
 //                 for the exact pi it was discovered from; the leader-min
 //                 rung keeps no memo and rediscovers on every call
 //
-// Failure semantics match the 2-D executors: every path tracks completed
-// stages (reversals, COBRA block pairs, applied cycle leaders) and a
-// throw at a stage boundary rolls the finished stages back in reverse
-// order — each is an involution or has an explicit inverse walk — so the
-// caller's buffer leaves this frame restored-or-untouched.  Mid-stage
-// failures (possible only for throwing element types) follow the same
-// "left at a stage boundary, never hidden" policy as the 2-D executor's
-// rollback_passes.
+// Failure semantics match the 2-D executors: every path lowers to stages
+// (reversals, the juggling pass, COBRA block pairs, the naive sweep,
+// cycles) that run through the executor's one stage loop (run_passes),
+// with "perm.exec.stage" before each.  A stage's inverse is the same
+// body in the opposite direction — an involution, the opposite rotation
+// or the opposite cycle walk — so a throw at a stage boundary rolls the
+// finished stages back and the caller's buffer leaves this frame
+// restored-or-untouched.  The transpose2d delegate is a transposer run,
+// which restores itself.
 //
 // Not thread-safe: one permuter instance must not execute on two threads
 // at once (tiles, visited maps and the leader memo are exclusive to one
@@ -68,38 +69,44 @@ inline constexpr std::size_t perm_juggling_max_group_bytes = 256 * 1024;
 
 namespace detail {
 
-/// Emits one telemetry plan record for a permutation execution, the
-/// perm-engine analogue of note_plan_record.  Field reuse is documented
-/// in DESIGN.md §16: m carries the permutation length (n = 1 keeps the
+/// The perm plan record of an execution.  Field reuse is documented in
+/// DESIGN.md §16: m carries the permutation length (n = 1 keeps the
 /// 2*m*n traffic model exact), block_width the COBRA tile width W or the
 /// juggling group g, and the calibration slot — unused by the 2-D paths
 /// — carries the classifier verdict.
 template <typename T>
-inline void note_perm_record([[maybe_unused]] const perm_plan& plan,
-                             [[maybe_unused]] std::uint64_t block_width,
-                             [[maybe_unused]] bool from_cache = false) {
-#if INPLACE_TELEMETRY_ENABLED
-  if (telemetry::current_sink() != nullptr) {
-    const util::thread_probe probe = util::probe_thread_count(1);
-    telemetry::plan_record rec;
-    rec.engine = "perm";
-    rec.direction = plan.inverse ? "scatter" : "gather";
-    rec.m = plan.n;
-    rec.n = 1;
-    rec.block_width = block_width;
-    rec.elem_size = sizeof(T);
-    rec.strength_reduction = false;
-    rec.kernel_tier = kernels::tier_name(plan.ktier);
-    rec.threads_requested = probe.requested;
-    rec.threads_active = probe.active;
-    rec.threads_honored = probe.honored;
-    rec.from_cache = from_cache;
-    rec.rung = rung_name(plan.rung);
-    rec.calibration = perm_kind_name(plan.kind);
-    INPLACE_TELEMETRY_PLAN(rec);
-  }
-#endif
+inline void note_perm_record(const perm_plan& plan, std::uint64_t block_width,
+                             bool from_cache = false) {
+  note_record<T>("perm", plan.inverse ? "scatter" : "gather", 1, from_cache,
+                 plan.rung, [&](telemetry::plan_record& rec) {
+                   rec.m = plan.n;
+                   rec.n = 1;
+                   rec.block_width = block_width;
+                   rec.strength_reduction = false;
+                   rec.kernel_tier = kernels::tier_name(plan.ktier);
+                   rec.calibration = perm_kind_name(plan.kind);
+                 });
 }
+
+/// A permuter's stages as a stage list for run_passes: stage k is
+/// body(k, dir, tuned), with direction::c2r applying it as planned and
+/// r2c undoing it.  "perm.exec.stage" fires before every stage live(k)
+/// holds; the others are empty.  Stages open no span of their own: the
+/// call's total span covers them.
+template <typename Body, typename Live>
+struct perm_stages {
+  std::size_t count;
+  Body body;
+  Live live;
+
+  [[nodiscard]] std::size_t size() const { return count; }
+  void run(std::size_t k, direction dir, bool tuned) { body(k, dir, tuned); }
+  void boundary(std::size_t k) const {
+    if (k < count && live(k)) {
+      INPLACE_FAILPOINT("perm.exec.stage");
+    }
+  }
+};
 
 }  // namespace detail
 
@@ -130,8 +137,7 @@ class permuter {
             INPLACE_FAILPOINT("perm.exec.alloc");
             subrow_.resize(g);
           } catch (const std::bad_alloc&) {
-            subrow_.clear();
-            subrow_.shrink_to_fit();
+            subrow_ = std::vector<T>();
             plan_.rung = scratch_rung::cycle_follow;
           }
         }
@@ -149,12 +155,9 @@ class permuter {
               revq_[c] = detail::perm_bitrev(c, plan_.cobra_q);
             }
           } catch (const std::bad_alloc&) {
-            tiles_.clear();
-            tiles_.shrink_to_fit();
-            revq_.clear();
-            revq_.shrink_to_fit();
-            gidx_.clear();
-            gidx_.shrink_to_fit();
+            tiles_ = std::vector<T>();
+            revq_ = std::vector<std::uint64_t>();
+            gidx_ = std::vector<std::uint64_t>();
             plan_.cobra_q = 0;  // the naive pair-swap loop needs nothing
             plan_.rung = scratch_rung::cycle_follow;
           }
@@ -299,6 +302,19 @@ class permuter {
     return 0;
   }
 
+  /// Runs `count` stages, every one live unless `live` says otherwise,
+  /// through the one stage loop.
+  template <typename Body>
+  static void run_stages(std::size_t count, Body body) {
+    run_stages(count, std::move(body), [](std::size_t) { return true; });
+  }
+  template <typename Body, typename Live>
+  static void run_stages(std::size_t count, Body body, Live live) {
+    detail::perm_stages<Body, Live> stages{count, std::move(body),
+                                           std::move(live)};
+    detail::run_passes(stages, direction::c2r);
+  }
+
   // --- rotation --------------------------------------------------------
 
   void run_rotation(T* data) {
@@ -311,53 +327,29 @@ class permuter {
       return;
     }
     if (!subrow_.empty()) {
-      // Juggling pass: view the n-vector as an (n/g) x g matrix of
-      // g-element sub-rows.  g = gcd(n, k) divides both n and k_eff
-      // (gcd(n, n-k) = gcd(n, k)), so rotating rows by k_eff / g is
-      // exactly the element rotation by k_eff — and gcd(n/g, k_eff/g)
-      // = 1 makes it a single cycle of whole sub-rows.
+      // Juggling pass, one stage: view the n-vector as an (n/g) x g
+      // matrix of g-element sub-rows.  g = gcd(n, k) divides both n and
+      // k_eff (gcd(n, n-k) = gcd(n, k)), so rotating rows by k_eff / g is
+      // exactly the element rotation by k_eff — and gcd(n/g, k_eff/g) = 1
+      // makes it a single cycle of whole sub-rows.  Its inverse rotates
+      // the rows back.
       const auto g = static_cast<std::uint64_t>(subrow_.size());
+      const std::uint64_t rows = n / g;
       const kernels::kernel_set& ks = kernels::set_for(plan_.ktier);
-      INPLACE_FAILPOINT("perm.exec.stage");
-      detail::coarse_rotate_group(data, n / g, g, 0, g, k_eff / g,
-                                  subrow_.data(), &ks, false);
+      run_stages(1, [&](std::size_t, direction dir, bool tuned) {
+        detail::coarse_rotate_group(
+            data, rows, g, 0, g,
+            dir == direction::c2r ? k_eff / g : rows - k_eff / g,
+            subrow_.data(), tuned ? &ks : nullptr, false);
+      });
       return;
     }
-    // 3-reversal left rotation (gather by k_eff): each stage is an
-    // involution, so rollback replays the completed ones in reverse.
-    std::size_t completed = 0;
-    try {
-      INPLACE_FAILPOINT("perm.exec.stage");
-      std::reverse(data, data + k_eff);
-      ++completed;
-      INPLACE_FAILPOINT("perm.exec.stage");
-      std::reverse(data + k_eff, data + n);
-      ++completed;
-      INPLACE_FAILPOINT("perm.exec.stage");
-      std::reverse(data, data + n);
-      ++completed;
-    } catch (...) {
-      rollback_rotation(data, k_eff, completed);
-      throw;
-    }
-  }
-
-  void rollback_rotation(T* data, std::uint64_t k_eff,
-                         std::size_t completed) noexcept {
-    try {
-      if (completed >= 3) {
-        std::reverse(data, data + plan_.n);
-      }
-      if (completed >= 2) {
-        std::reverse(data + k_eff, data + plan_.n);
-      }
-      if (completed >= 1) {
-        std::reverse(data, data + k_eff);
-      }
-    } catch (...) {
-      // Swallowed, same policy as rollback_passes: the original
-      // exception is the one the caller must see.
-    }
+    // 3-reversal left rotation (gather by k_eff): three involutions.
+    const std::uint64_t from[3] = {0, k_eff, 0};
+    const std::uint64_t to[3] = {k_eff, n, n};
+    run_stages(3, [&](std::size_t k, direction, bool) {
+      std::reverse(data + from[k], data + to[k]);
+    });
   }
 
   // --- bit reversal (COBRA) --------------------------------------------
@@ -365,36 +357,33 @@ class permuter {
   void run_bit_reversal(T* data) {
     const std::uint64_t w = plan_.log2n;
     if (plan_.cobra_q < 2) {
-      // Naive involution sweep: one stage, no scratch.  A fault at the
-      // failpoint leaves the buffer untouched; a completed sweep is the
-      // whole permutation.
-      INPLACE_FAILPOINT("perm.exec.stage");
-      for (std::uint64_t i = 0; i < plan_.n; ++i) {
-        const std::uint64_t j = detail::perm_bitrev(i, w);
-        if (j > i) {
-          std::swap(data[i], data[j]);
+      // Naive involution sweep: one stage, no scratch.
+      run_stages(1, [&](std::size_t, direction, bool) {
+        for (std::uint64_t i = 0; i < plan_.n; ++i) {
+          const std::uint64_t j = detail::perm_bitrev(i, w);
+          if (j > i) {
+            std::swap(data[i], data[j]);
+          }
         }
-      }
+      });
       return;
     }
+    // Stage b exchanges the block pair (b, rev_mid(b)), an involution on
+    // its two blocks; each pair runs as the stage of its smaller block.
     const kernels::kernel_set& ks = kernels::set_for(plan_.ktier);
     const std::uint64_t mid = w - 2 * plan_.cobra_q;
-    std::uint64_t completed = 0;
-    bool in_flight = false;
-    try {
-      for (std::uint64_t b = 0; b < (std::uint64_t{1} << mid); ++b) {
-        const std::uint64_t br = detail::perm_bitrev(b, mid);
-        if (br < b) {
-          continue;  // handled as the (br, b) pair
-        }
-        INPLACE_FAILPOINT("perm.exec.stage");
-        apply_cobra_group(data, b, br, &ks, &in_flight);
-        ++completed;
-      }
-    } catch (...) {
-      rollback_bit_reversal(data, completed, in_flight);
-      throw;
-    }
+    const auto first_of_pair = [mid](std::size_t b) {
+      return detail::perm_bitrev(b, mid) >= b;
+    };
+    run_stages(
+        std::size_t{1} << mid,
+        [&](std::size_t b, direction, bool tuned) {
+          if (first_of_pair(b)) {
+            apply_cobra_group(data, b, detail::perm_bitrev(b, mid),
+                              tuned ? &ks : nullptr);
+          }
+        },
+        first_of_pair);
   }
 
   /// One COBRA block-pair exchange.  Decompose the address i into
@@ -404,10 +393,10 @@ class permuter {
   /// W x W tiles of contiguous W-element rows cover the exchange; the
   /// destination row (a, *) reads tile offsets rev_q(c)*W + rev_q(a) —
   /// an indexed gather with a per-`a` constant index vector.  The pair
-  /// operation is an involution on its two blocks (bitrev is), which is
-  /// what the rollback below replays.
+  /// operation is an involution on its two blocks (bitrev is), so it is
+  /// its own inverse.
   void apply_cobra_group(T* data, std::uint64_t b, std::uint64_t br,
-                         const kernels::kernel_set* ks, bool* in_flight) {
+                         const kernels::kernel_set* ks) {
     const std::uint64_t q = plan_.cobra_q;
     const std::uint64_t w = plan_.log2n;
     const std::uint64_t W = std::uint64_t{1} << q;
@@ -425,9 +414,6 @@ class permuter {
       }
     }
     const T* src_for_b = br != b ? t2 : t1;  // mid field rev_mid(b) = br
-    if (in_flight != nullptr) {
-      *in_flight = true;
-    }
     for (std::uint64_t a = 0; a < W; ++a) {
       const std::uint64_t ra = revq_[a];
       for (std::uint64_t c = 0; c < W; ++c) {
@@ -437,9 +423,6 @@ class permuter {
       if (br != b) {
         store_gathered(row_at(a, br), t1, W, ks);
       }
-    }
-    if (in_flight != nullptr) {
-      *in_flight = false;
     }
   }
 
@@ -461,44 +444,17 @@ class permuter {
     }
   }
 
-  void rollback_bit_reversal(T* data, std::uint64_t completed,
-                             bool in_flight) noexcept {
-    if (in_flight) {
-      // Mid-group: the pair is half-written and the involution replay
-      // would scramble it further.  Documented "left at a stage
-      // boundary" downgrade, same as a 2-D pass failing mid-pass.
-      return;
-    }
-    try {
-      // Replay the first `completed` pair exchanges (disjoint
-      // involutions — order is irrelevant, the group walk is just the
-      // cheapest enumeration).  Portable path: rollback must not depend
-      // on the tier that ran the forward pass.
-      const std::uint64_t mid = plan_.log2n - 2 * plan_.cobra_q;
-      std::uint64_t seen = 0;
-      for (std::uint64_t b = 0;
-           b < (std::uint64_t{1} << mid) && seen < completed; ++b) {
-        const std::uint64_t br = detail::perm_bitrev(b, mid);
-        if (br < b) {
-          continue;
-        }
-        apply_cobra_group(data, b, br, nullptr, nullptr);
-        ++seen;
-      }
-    } catch (...) {
-      // Swallowed: the original exception is the one the caller sees.
-    }
-  }
-
   // --- generic cycle-leader --------------------------------------------
 
-  /// The walker's external-map path.  Discovery rejects a non-bijection
-  /// before anything moves, then the cycles move one stage each.  On the
-  /// memoizing rungs the leaders are discovered once and replayed on
-  /// later calls, after proving pi is the permutation they were
-  /// discovered from; they double as the rollback log.  The leader-min
-  /// rung keeps no memo: a validating discovery sweep, then a second
-  /// sweep that moves each cycle as it finds its leader.
+  /// The walker's external-map path, one stage per cycle.  Discovery
+  /// rejects a non-bijection before anything moves.  A stage moves its
+  /// cycle as planned (gather, or scatter for an inverse plan); its
+  /// inverse walks the cycle the opposite way.  On the memoizing rungs
+  /// the leaders are discovered once and replayed on later calls, after
+  /// proving pi is the permutation they were discovered from — so the
+  /// warm replay walks as internal math, without the per-hop bound.  The
+  /// leader-min rung keeps no memo: a validating discovery sweep counts
+  /// the cycles, then each stage moves the next leader the scan finds.
   template <typename I>
   void run_generic(T* data, std::span<const I> pi) {
     const std::uint64_t n = plan_.n;
@@ -506,26 +462,38 @@ class permuter {
       return static_cast<std::uint64_t>(pi[static_cast<std::size_t>(i)]);
     };
     detail::element_mover<T> mv(data);
-    std::size_t applied = 0;
-    const auto apply = [&](std::uint64_t y) {
-      INPLACE_FAILPOINT("perm.exec.stage");
-      detail::move_cycle<detail::walk_check::external>(mv, idx, y, n,
-                                                       plan_.inverse);
-      ++applied;
+    const auto move = [&](std::uint64_t y, direction dir, bool trusted) {
+      const bool scatter = plan_.inverse == (dir == direction::c2r);
+      if (trusted) {
+        detail::move_cycle<detail::walk_check::internal>(mv, idx, y, n,
+                                                         scatter);
+      } else {
+        detail::move_cycle<detail::walk_check::external>(mv, idx, y, n,
+                                                         scatter);
+      }
     };
     if (plan_.rung == scratch_rung::cycle_follow) {
+      std::size_t cycles = 0;
       detail::discover_cycles<detail::walk_check::external>(
-          n, idx, visited_, [](std::uint64_t) {});
-      try {
-        detail::discover_cycles<detail::walk_check::external>(n, idx,
-                                                              visited_, apply);
-      } catch (...) {
-        rollback_generic(data, idx, applied);
-        throw;
-      }
+          n, idx, visited_, [&cycles](std::uint64_t) { ++cycles; });
+      // Cycles are disjoint, so rollback may undo the first `done`
+      // leaders in discovery order: the scan restarts when the direction
+      // flips.
+      std::uint64_t next = 0;
+      direction scan = direction::c2r;
+      run_stages(cycles, [&](std::size_t, direction dir, bool) {
+        if (dir != scan) {
+          scan = dir;
+          next = 0;
+        }
+        const std::uint64_t y = detail::next_leader(n, idx, next);
+        next = y + 1;
+        move(y, dir, false);
+      });
       return;
     }
-    if (memo_.ready) {
+    const bool warm = memo_.ready;
+    if (warm) {
       // Exact match, not a hash: a branch-free sweep the compiler
       // vectorizes, one pass over pi before anything moves.
       std::uint64_t diff = 0;
@@ -543,43 +511,9 @@ class permuter {
     const std::vector<std::uint64_t>& leaders =
         detail::discover_or_replay<detail::walk_check::external>(
             memo_, plan_.fingerprint_lo, n, idx, visited_);
-    try {
-      for (const std::uint64_t y : leaders) {
-        apply(y);
-      }
-    } catch (...) {
-      rollback_generic(data, idx, applied);
-      throw;
-    }
-  }
-
-  /// Undoes the first `applied` cycles with the opposite walk.  Cycles
-  /// are disjoint, so order is free: the memo's prefix in reverse, or —
-  /// on the leader-min rung — a fresh scratch-free discovery sweep.
-  template <typename IndexFn>
-  void rollback_generic(T* data, IndexFn idx, std::size_t applied) noexcept {
-    try {
-      detail::element_mover<T> mv(data);
-      const auto undo = [&](std::uint64_t y) {
-        detail::move_cycle<detail::walk_check::external>(mv, idx, y, plan_.n,
-                                                         !plan_.inverse);
-      };
-      if (plan_.rung == scratch_rung::cycle_follow) {
-        detail::discover_cycles<detail::walk_check::external>(
-            plan_.n, idx, visited_, [&](std::uint64_t y) {
-              if (applied > 0) {
-                --applied;
-                undo(y);
-              }
-            });
-        return;
-      }
-      for (std::size_t k = applied; k-- > 0;) {
-        undo(memo_.starts[k]);
-      }
-    } catch (...) {
-      // Swallowed: the original exception is the one the caller sees.
-    }
+    run_stages(leaders.size(), [&](std::size_t k, direction dir, bool tuned) {
+      move(leaders[k], dir, warm && tuned);
+    });
   }
 
   perm_plan plan_;
@@ -597,8 +531,8 @@ class permuter {
   std::optional<transposer<T>> inner_;
 
   // generic: the visited scratch (per the rung), the memoized cycle
-  // leaders, which double as the rollback log, and the pi they belong to
-  // (both empty on the leader-min rung).
+  // leaders (the stage list) and the pi they belong to (both empty on
+  // the leader-min rung).
   detail::visited_map visited_;
   detail::cycle_memo memo_;
   util::aligned_vector<std::uint64_t> memo_pi_;

@@ -5,19 +5,21 @@
 //
 //   * chunk == 1 passes run through the planned 2-D executor
 //     (core/executor.hpp) — one transposer<T> arena per pass, so kernel
-//     tiers, NT-streaming policy, stage-boundary rollback and the OOM
-//     degradation ladder all apply per pass;
+//     tiers, NT-streaming policy and the OOM degradation ladder all apply
+//     per pass;
 //   * chunk > 1 passes run chunk-grid cycle following over a rows x cols
 //     grid of contiguous chunk-element blocks through the cycle walker
 //     (core/cycle_walker.hpp), whose one visited-scratch funnel walks the
 //     OOM ladder byte visited map -> packed bitset -> O(1)-space
 //     leader-min cycle following with one element in flight.
 //
-// Failure semantics match the 2-D paths: "tensor.pass.begin" fires before
-// each pass moves anything, and any pass failure rolls the completed
-// passes back in reverse (the inverse of an adjacent-group swap is the
-// same swap with the grid extents exchanged), so every entry point throws
-// with the caller's buffer restored-or-untouched.
+// The passes run through the executor's one stage loop (run_passes), a
+// batched pass's slabs through it again, with "tensor.pass.begin" before
+// each pass.  A failure undoes the completed passes in reverse — the
+// inverse of an adjacent-group swap is the same swap with the grid
+// extents exchanged — on each pass's own arena, so every entry point
+// throws with the caller's buffer restored-or-untouched, and rollback
+// acquires no scratch.
 
 #include <algorithm>
 #include <array>
@@ -134,95 +136,23 @@ void run_chunk_pass(T* base, std::uint64_t rows, std::uint64_t cols,
   chunks.finish();
 }
 
-/// Restores the slabs a failing batched 2-D pass already completed (the
-/// failing slab itself was restored by the inner executor's own
-/// stage-boundary rollback).  Best-effort by design: building or running
-/// the inverse executor can itself fail with the original exception in
-/// flight, and then the buffer stays as-is — the documented
-/// "unrecoverable" row of the failure taxonomy (DESIGN.md §11).
+/// The tensor plan record of an execution (any path: "nd" runs passes,
+/// "identity" and "empty" are the early returns, which record too).
 template <typename T>
-void rollback_nd_slabs(T* data, const nd_pass& p,
-                       std::uint64_t completed) noexcept {
-  if (completed == 0) {
-    return;
-  }
-  try {
-    transposer<T> inv(static_cast<std::size_t>(p.cols),
-                      static_cast<std::size_t>(p.rows));
-    const std::uint64_t slab = p.rows * p.cols * p.chunk;
-    for (std::uint64_t k = completed; k-- > 0;) {
-      inv(data + k * slab);
-    }
-  } catch (...) {
-    // Unrecoverable: leave the buffer as-is (never throw past here).
-  }
-}
-
-/// Inverts the completed passes of a tensor plan in reverse order: the
-/// inverse of the adjacent-group swap (P, X, Y, S) -> (P, Y, X, S) is the
-/// same swap with the grid extents exchanged.  Chunk passes invert
-/// through the leader-min walk (no allocation on the rollback path).
-/// Best-effort, same taxonomy row as rollback_nd_slabs.
-template <typename T>
-void rollback_nd_passes(T* data, const tensor_plan& plan,
-                        std::size_t completed) noexcept {
-  try {
-    for (std::size_t i = completed; i-- > 0;) {
-      const nd_pass& p = plan.passes[i];
-      const std::uint64_t slab = p.rows * p.cols * p.chunk;
-      if (p.chunk == 1) {
-        transposer<T> inv(static_cast<std::size_t>(p.cols),
-                          static_cast<std::size_t>(p.rows));
-        for (std::uint64_t k = 0; k < p.batch; ++k) {
-          inv(data + k * slab);
-        }
-      } else {
-        visited_map none;
-        for (std::uint64_t k = 0; k < p.batch; ++k) {
-          run_chunk_pass<T>(data + k * slab, p.cols, p.rows, p.chunk, none,
-                            nullptr);
-        }
-      }
-    }
-  } catch (...) {
-    // Unrecoverable: leave the buffer as-is (never throw past here).
-  }
-}
-
-/// Emits one telemetry plan record for a tensor execution (any path:
-/// "nd" runs passes, "identity" and "empty" are the early returns PR 3's
-/// gap fix covers for the 2-D paths).  Compiles to nothing unless the
-/// translation unit defines INPLACE_TELEMETRY.
-template <typename T>
-inline void note_tensor_record([[maybe_unused]] std::uint64_t total,
-                               [[maybe_unused]] std::size_t rank,
-                               [[maybe_unused]] std::size_t passes,
-                               [[maybe_unused]] bool from_cache,
-                               [[maybe_unused]] scratch_rung rung,
-                               [[maybe_unused]] const char* path,
-                               [[maybe_unused]] const char* kernel_tier = "",
-                               [[maybe_unused]] const char* calibration = "") {
-#if INPLACE_TELEMETRY_ENABLED
-  if (telemetry::current_sink() != nullptr) {
-    const util::thread_probe probe = util::probe_thread_count(0);
-    telemetry::plan_record rec;
-    rec.engine = "tensor";
-    rec.direction = path;
-    rec.m = total;
-    rec.n = passes;
-    rec.block_width = rank;
-    rec.elem_size = sizeof(T);
-    rec.strength_reduction = true;
-    rec.kernel_tier = kernel_tier;
-    rec.threads_requested = probe.requested;
-    rec.threads_active = probe.active;
-    rec.threads_honored = probe.honored;
-    rec.from_cache = from_cache;
-    rec.rung = rung_name(rung);
-    rec.calibration = calibration;
-    INPLACE_TELEMETRY_PLAN(rec);
-  }
-#endif
+inline void note_tensor_record(std::uint64_t total, std::size_t rank,
+                               std::size_t passes, bool from_cache,
+                               scratch_rung rung, const char* path,
+                               const char* kernel_tier = "",
+                               const char* calibration = "") {
+  note_record<T>("tensor", path, 0, from_cache, rung,
+                 [&](telemetry::plan_record& rec) {
+                   rec.m = total;
+                   rec.n = passes;
+                   rec.block_width = rank;
+                   rec.strength_reduction = true;
+                   rec.kernel_tier = kernel_tier;
+                   rec.calibration = calibration;
+                 });
 }
 
 }  // namespace detail
@@ -301,19 +231,8 @@ class nd_transposer {
                                   plan_.calibration);
     INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
                            2 * plan_.norm.total * sizeof(T), cached_bytes());
-    std::size_t done = 0;
-    try {
-      for (; done < passes_.size(); ++done) {
-        // Models a fault at a pass boundary: fires before the pass moves
-        // anything, so passes 0..done-1 are complete and the rollback
-        // below restores the caller's buffer bit-exactly.
-        INPLACE_FAILPOINT("tensor.pass.begin");
-        run_pass(data, passes_[done], from_cache);
-      }
-    } catch (...) {
-      detail::rollback_nd_passes(data, plan_, done);
-      throw;
-    }
+    pass_stages stages{*this, data, from_cache};
+    detail::run_passes(stages, direction::c2r);
   }
 
   /// Approximate bytes retained by the per-pass arenas; transpose_context
@@ -339,38 +258,78 @@ class nd_transposer {
     }
   };
 
-  void run_pass(T* data, pass_state& ps, bool from_cache) {
-    const detail::nd_pass& p = ps.pass;
-    const std::uint64_t slab = p.rows * p.cols * p.chunk;
-    INPLACE_TELEMETRY_SPAN(
-        span_pass, telemetry::stage::total, 2 * plan_.norm.total * sizeof(T),
-        ps.tr ? ps.tr->plan().scratch_elements() * sizeof(T)
-              : ps.chunk_bytes());
-    if (p.chunk == 1) {
-      std::uint64_t k = 0;
-      try {
-        for (; k < p.batch; ++k) {
-          ps.tr->execute(data + k * slab, from_cache);
-        }
-      } catch (...) {
-        // The failing slab was restored by the executor's stage-boundary
-        // rollback; re-transpose the completed slabs so the whole pass
-        // leaves this frame restored-or-untouched.
-        detail::rollback_nd_slabs(data, p, k);
-        throw;
-      }
-    } else {
-      // The chunk loop runs no engine and allocates nothing, so once
-      // chunks move the pass completes (faults inject at the boundary).
-      const kernels::kernel_set& ks = kernels::set_for(ktier_);
-      for (std::uint64_t k = 0; k < p.batch; ++k) {
-        detail::run_chunk_pass(data + k * slab, p.rows, p.cols, p.chunk,
-                               ps.visited,
-                               ps.tmp.empty() ? nullptr : ps.tmp.data(), &ks,
-                               ps.stream);
+  /// A batched pass's slabs as a stage list: each slab is a transposer
+  /// run, which restores itself on a throw; its inverse is
+  /// transposer::undo on the same arena.
+  struct slab_stages {
+    pass_state& ps;
+    T* data;
+    bool from_cache;
+
+    [[nodiscard]] std::size_t size() const { return ps.pass.batch; }
+    void boundary(std::size_t /*k*/) const {}
+    [[nodiscard]] bool restores(std::size_t /*k*/) const { return true; }
+    void run(std::size_t k, direction dir, bool /*tuned*/) {
+      T* slab = data + k * ps.pass.rows * ps.pass.cols;
+      if (dir == direction::c2r) {
+        ps.tr->execute(slab, from_cache);
+      } else {
+        ps.tr->undo(slab);
       }
     }
-  }
+  };
+
+  /// The plan's passes as a stage list: "tensor.pass.begin" fires before
+  /// each pass moves anything, and each pass has its own span.  A
+  /// batched pass is itself a stage loop over its slabs, so a throw
+  /// inside it leaves it restored.
+  struct pass_stages {
+    nd_transposer& nd;
+    T* data;
+    bool from_cache;
+
+    [[nodiscard]] std::size_t size() const { return nd.passes_.size(); }
+    void boundary(std::size_t k) const {
+      if (k < size()) {
+        INPLACE_FAILPOINT("tensor.pass.begin");
+      }
+    }
+    [[nodiscard]] detail::span_spec span(std::size_t k) const {
+      const pass_state& ps = nd.passes_[k];
+      return {telemetry::stage::total, 2 * nd.plan_.norm.total * sizeof(T),
+              ps.tr ? ps.tr->plan().scratch_elements() * sizeof(T)
+                    : ps.chunk_bytes()};
+    }
+    [[nodiscard]] bool restores(std::size_t k) const {
+      return nd.passes_[k].tr.has_value();
+    }
+    void run(std::size_t k, direction dir, bool tuned) {
+      pass_state& ps = nd.passes_[k];
+      const bool planned = dir == direction::c2r;
+      if (ps.tr) {
+        slab_stages slabs{ps, data, from_cache};
+        if (planned) {
+          detail::run_passes(slabs, dir);
+        } else {
+          detail::rollback_passes(slabs, slabs.size(), direction::c2r);
+        }
+        return;
+      }
+      // The chunk walk runs no engine and allocates nothing, so once
+      // chunks move the pass completes.  Its inverse exchanges the grid
+      // extents, on the same visited map and chunk buffer.
+      const detail::nd_pass& p = ps.pass;
+      const kernels::kernel_set* ks =
+          tuned ? &kernels::set_for(nd.ktier_) : nullptr;
+      for (std::uint64_t b = 0; b < p.batch; ++b) {
+        detail::run_chunk_pass(data + b * p.rows * p.cols * p.chunk,
+                               planned ? p.rows : p.cols,
+                               planned ? p.cols : p.rows, p.chunk, ps.visited,
+                               ps.tmp.empty() ? nullptr : ps.tmp.data(), ks,
+                               tuned && ps.stream);
+      }
+    }
+  };
 
   detail::tensor_plan plan_;
   kernels::tier ktier_ = kernels::tier::scalar;

@@ -152,12 +152,13 @@ TEST(Failpoint, EnvArmsReloadsAndRejectsMalformedEntries) {
 // --- stage-boundary rollback -------------------------------------------------
 
 // Regression (noexcept audit): rollback_passes runs inside a catch block
-// while the pass's exception is in flight; if the rollback itself could
+// while the stage's exception is in flight; if the rollback itself could
 // throw, the unwind would escalate to std::terminate.  The "never throws"
-// contract is part of the signature, proven here at compile time.
+// contract is part of the signature of the one stage loop's rollback,
+// proven here at compile time.
 static_assert(noexcept(detail::rollback_passes(
-    static_cast<double*>(nullptr), std::declval<detail::arena<double>&>(),
-    std::declval<const detail::pass_list<double>&>(), std::size_t{0})));
+    std::declval<detail::pass_stages<double>&>(), std::size_t{0},
+    direction::c2r)));
 
 /// Arms `name`, runs a directed transposition of src through a fresh
 /// transposer, and asserts the injected failure left the buffer
@@ -892,6 +893,108 @@ TEST(TensorFailure, MidRunFaultDropsTheTensorArenaNotTheAccounting) {
   ctx.permute_nd(buf.data(), dims, rev);
   expect_same(buf, want, "post-drop tensor rerun");
   EXPECT_EQ(ctx.stats().arenas_created, 2u);
+}
+
+/// A hand-built two-pass plan over a 6 x 5 x 4 tensor, independent of
+/// which decomposition the search would pick.  batched_first: a batched
+/// 2-D pass (6 slabs of 5 x 4), then a chunk pass — perm {2, 0, 1}.
+/// Otherwise: a chunk pass, then a batched 2-D pass (5 slabs of 6 x 4) —
+/// perm {1, 2, 0}.
+detail::tensor_plan two_pass_plan(bool batched_first) {
+  detail::tensor_plan plan;
+  plan.norm.rank = 3;
+  plan.norm.dims = {6, 5, 4};
+  plan.norm.total = 6 * 5 * 4;
+  if (batched_first) {
+    plan.norm.perm = {2, 0, 1};
+    plan.passes.push_back(detail::nd_pass{6, 5, 4, 1});
+    plan.passes.push_back(detail::nd_pass{1, 6, 4, 5});
+  } else {
+    plan.norm.perm = {1, 2, 0};
+    plan.passes.push_back(detail::nd_pass{1, 6, 5, 4});
+    plan.passes.push_back(detail::nd_pass{5, 6, 4, 1});
+  }
+  return plan;
+}
+
+std::vector<double> tensor_src() {
+  std::vector<double> src(6 * 5 * 4);
+  for (std::size_t l = 0; l < src.size(); ++l) {
+    src[l] = static_cast<double>(l) * 0.5 - 7.0;
+  }
+  return src;
+}
+
+// Regression: rolling a batched 2-D pass back once built a fresh
+// transposer inside the noexcept rollback, whose scratch acquisition
+// could fail there and leave the buffer unrestored.  Rollback now undoes
+// each slab on the pass's own arena, so even a hard fault on every
+// scratch acquisition cannot stop it.
+TEST(TensorFailure, BatchedPassRollsBackWithoutAcquiringScratch) {
+  const detail::tensor_plan plan = two_pass_plan(/*batched_first=*/true);
+  const auto src = tensor_src();
+  auto buf = src;
+  nd_transposer<double> tr(plan);
+  {
+    fp::scoped_trigger no_scratch("exec.alloc.full");
+    fp::scoped_trigger armed("tensor.pass.begin", fp::mode::fault,
+                             /*skip=*/1, /*count=*/1);
+    EXPECT_THROW(tr(buf.data()), fp::injected_fault);
+    EXPECT_EQ(fp::fires("tensor.pass.begin"), 1u);
+  }
+  expect_same(buf, src, "batched pass not restored under a scratch fault");
+  tr(buf.data());
+  expect_same(buf, reference_permute3(src, 6, 5, 4, 2, 0, 1),
+              "unarmed two-pass run");
+}
+
+// A rolled-back execution allocates nothing: neither the executor's
+// scratch ladder nor the aligned allocator is reached.
+TEST(TensorFailure, RolledBackExecutionAllocatesNothing) {
+  for (const bool batched_first : {true, false}) {
+    SCOPED_TRACE(batched_first ? "batched first" : "chunk first");
+    const detail::tensor_plan plan = two_pass_plan(batched_first);
+    const auto src = tensor_src();
+    auto buf = src;
+    nd_transposer<double> tr(plan);
+    fp::scoped_trigger scratch("exec.alloc.full", fp::mode::count);
+    fp::scoped_trigger aligned("alloc.aligned", fp::mode::count);
+    fp::scoped_trigger armed("tensor.pass.begin", fp::mode::fault,
+                             /*skip=*/1, /*count=*/1);
+    EXPECT_THROW(tr(buf.data()), fp::injected_fault);
+    expect_same(buf, src, "buffer not restored after the last-pass fault");
+    EXPECT_EQ(fp::hits("exec.alloc.full"), 0u);
+    EXPECT_EQ(fp::hits("alloc.aligned"), 0u);
+  }
+}
+
+// A 2-D boundary fault inside slab k > 0 of a batched pass that follows
+// another pass: the failing slab restores itself, and the stage loops
+// undo the earlier slabs and then the earlier pass.
+TEST(TensorFailure, SlabBoundaryFaultRestoresTheWholeTensor) {
+  const detail::tensor_plan plan = two_pass_plan(/*batched_first=*/false);
+  const auto src = tensor_src();
+  // The slab engine's plan names the boundary: its first C2R pass always
+  // exists (skinny fused_row, else row_shuffle).
+  const transposer<double> slab(6, 4);
+  const std::string name = detail::boundary_name(
+      slab.plan(),
+      slab.plan().engine == engine_kind::skinny ? "fused_row" : "row_shuffle");
+  for (std::uint64_t k = 1; k < 5; ++k) {
+    SCOPED_TRACE(k);
+    auto buf = src;
+    nd_transposer<double> tr(plan);
+    fp::scoped_trigger armed(name.c_str(), fp::mode::fault, /*skip=*/k,
+                             /*count=*/1);
+    EXPECT_THROW(tr(buf.data()), fp::injected_fault);
+    EXPECT_EQ(fp::fires(name.c_str()), 1u);
+    expect_same(buf, src, "tensor not restored after an in-slab fault");
+  }
+  auto buf = src;
+  nd_transposer<double> tr(plan);
+  tr(buf.data());
+  expect_same(buf, reference_permute3(src, 6, 5, 4, 1, 2, 0),
+              "unarmed two-pass run");
 }
 
 // The chunk-scratch funnel walks its own OOM ladder: full (byte visited

@@ -19,4 +19,22 @@ void permuter_execute() {
   // absence is the seeded violation this fixture exists for.
 }
 
+// A hand-written rollback: the executor's stage loop owns the one
+// catch-and-restore, so a front end catching everything to undo its own
+// stages is the second seeded violation here.
+template <typename T>
+void run_reversals(T* data, std::size_t k, std::size_t n) {
+  std::size_t completed = 0;
+  try {
+    std::reverse(data, data + k);
+    ++completed;
+    std::reverse(data + k, data + n);
+  } catch (...) {  // EXPECT-LINT: stage-pairing
+    if (completed > 0) {
+      std::reverse(data, data + k);
+    }
+    throw;
+  }
+}
+
 }  // namespace fixture

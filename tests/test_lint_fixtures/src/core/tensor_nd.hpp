@@ -26,4 +26,21 @@ void chunk_pass(T* a, std::size_t d0, std::size_t d1, std::size_t chunk) {
   (void)tmp;
 }
 
+// The pre-stage-loop slab rollback: it caught everything and re-ran the
+// completed slabs inverted by hand, outside the executor's stage loop.
+template <typename T, typename Slab>
+void run_slabs(T* a, std::size_t batch, std::size_t slab, Slab run) {
+  std::size_t k = 0;
+  try {
+    for (; k < batch; ++k) {
+      run(a + k * slab, /*forward=*/true);
+    }
+  } catch (...) {  // EXPECT-LINT: stage-pairing
+    while (k-- > 0) {
+      run(a + k * slab, /*forward=*/false);
+    }
+    throw;
+  }
+}
+
 }  // namespace fixture
