@@ -140,17 +140,11 @@ struct tile_scratch final : tile_scratch_base {
   using chunk = kernels::lane_chunk<T, W>;
 
   explicit tile_scratch(const transpose_plan& plan) : mm(plan.m / W, plan.n) {
-    reserve_skinny(ws, plan.m / W, plan.n);
+    reserve_skinny(ws, plan.m / W, plan.n, plan.threads);
   }
 
   [[nodiscard]] std::size_t cached_bytes() const override {
-    std::size_t total =
-        (ws.line.size() + ws.head.size() + ws.subrow.size()) * sizeof(chunk);
-    total += ws.visited.bytes();
-    total += (ws.cycles.starts.capacity() + ws.offsets.size() +
-              ws.index.size() + memo.starts.capacity()) *
-             sizeof(std::uint64_t);
-    return total;
+    return ws.bytes() + memo.bytes();
   }
 
   transpose_math<fast_divmod> mm;  ///< chunk-grid math: (m / W) x n
@@ -246,7 +240,7 @@ scratch_bundle<T> acquire_scratch(transpose_plan& plan) {
     } else {
       bundle.ws.emplace();
       if (plan.engine == engine_kind::skinny) {
-        reserve_skinny(*bundle.ws, plan.m, plan.n);
+        reserve_skinny(*bundle.ws, plan.m, plan.n, plan.threads);
       } else {
         bundle.ws->reserve(plan.m, plan.n, plan.block_width);
       }
@@ -267,7 +261,7 @@ scratch_bundle<T> acquire_scratch(transpose_plan& plan) {
     } else {
       bundle.ws.emplace();
       if (plan.engine == engine_kind::skinny) {
-        reserve_skinny(*bundle.ws, plan.m, plan.n);
+        reserve_skinny(*bundle.ws, plan.m, plan.n, plan.threads);
       } else {
         plan.block_width = 4;
         bundle.ws->reserve(plan.m, plan.n, plan.block_width);
@@ -704,13 +698,16 @@ struct pass_stages {
   const pass_list<T>& passes;
   std::optional<util::thread_count_guard> team;
 
-  /// A pooled (blocked) arena runs its passes, and their inverses, on the
-  /// plan's team; the pool grows to cover it (a no-op after a forward
-  /// run).
+  /// Blocked and skinny (tile plans included) arenas run their passes,
+  /// and the inverses, on the plan's team.  A pool grows to cover it (a
+  /// no-op after a forward run); a skinny workspace caps the team at the
+  /// slots reserve_skinny sized, so nothing allocates here.
   pass_stages(T* d, arena<T>& ar, const pass_list<T>& list)
       : data(d), a(ar), passes(list) {
-    if (a.pool) {
+    if (a.pool || a.plan.engine == engine_kind::skinny) {
       team.emplace(a.plan.threads);
+    }
+    if (a.pool) {
       a.pool->ensure(util::hardware_threads());
     }
   }
@@ -820,9 +817,12 @@ class transposer {
                                : a_.plain_math->m == plan.m &&
                                      a_.plain_math->n == plan.n,
                   "index math shape does not match the plan");
-    INPLACE_CHECK(!a_.ws || a_.ws->line.size() >= std::max(plan.m, plan.n),
-                  "workspace line smaller than max(m, n) — Theorem 6's "
-                  "scratch bound");
+    INPLACE_CHECK(!a_.ws || a_.ws->line.size() >=
+                                (plan.engine == engine_kind::skinny
+                                     ? plan.n
+                                     : std::max(plan.m, plan.n)),
+                  "workspace line smaller than the engine's scratch bound "
+                  "(skinny: n; otherwise Theorem 6's max(m, n))");
     detail::note_plan_record<T>(plan, from_cache);
     INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
                            2 * plan.m * plan.n * sizeof(T),
@@ -853,14 +853,14 @@ class transposer {
         static_cast<std::size_t>(a_.plan.scratch_elements()) * sizeof(T);
     // On the cycle_follow rung neither scratch member exists: the arena
     // retains only the (empty) memo capacity.
-    std::size_t total = a_.ws ? per_ws : 0;
+    std::size_t total = a_.ws ? a_.ws->bytes() : 0;
     if (a_.pool) {
       total = per_ws * std::max<std::size_t>(1, a_.pool->size());
     }
     if (a_.tile) {
       total += a_.tile->cached_bytes();
     }
-    total += a_.memo.starts.capacity() * sizeof(std::uint64_t);
+    total += a_.memo.bytes();
     for (const auto& g : a_.col_memo.groups) {
       total += g.starts.capacity() * sizeof(std::uint64_t);
     }

@@ -96,7 +96,9 @@ class shuffle_coverage {
 /// max(m, n)-element temporary vector plus the small fixed-size buffers
 /// used by the cache-aware passes (Sections 4.6-4.7): a head buffer of
 /// width^2 elements, one sub-row, a visited bitmap and the cycle-leader
-/// list for the row permutation.
+/// list for the row permutation.  The skinny engine sizes its own subset
+/// (reserve_skinny, cpu/skinny.hpp): a line of n, plus `team` and `saved`
+/// for its parallel passes.
 /// All scratch buffers are 64-byte aligned (util::aligned_vector): the
 /// vector kernels' non-temporal and aligned paths require it, and the
 /// scalar loops assume it (std::assume_aligned below).
@@ -109,6 +111,8 @@ struct workspace {
   cycle_memo cycles;  ///< row-permutation cycles of a memo-less pass
   std::vector<std::uint64_t> offsets;       ///< per-column residual shifts
   util::aligned_vector<std::uint64_t> index;  ///< kernel gather offsets
+  util::aligned_vector<T> team;   ///< skinny: threads 1.. row + window
+  util::aligned_vector<T> saved;  ///< skinny: q segment-start rows
 
   void reserve(std::uint64_t m, std::uint64_t n, std::uint64_t width) {
     // inplace-lint: allow-block(raw-alloc): this IS the audited scratch
@@ -130,6 +134,15 @@ struct workspace {
                        util::is_scratch_aligned(subrow.data()),
                    "workspace scratch is not 64-byte aligned (the kernel "
                    "layer's streaming/aligned paths require it)");
+  }
+
+  /// Bytes the buffers and the memo-less cycle lists retain.
+  [[nodiscard]] std::size_t bytes() const {
+    return (line.capacity() + head.capacity() + subrow.capacity() +
+            team.capacity() + saved.capacity()) *
+               sizeof(T) +
+           (offsets.capacity() + index.capacity()) * sizeof(std::uint64_t) +
+           visited.bytes() + cycles.bytes();
   }
 
   /// True when this workspace can serve an m x n problem with `width`-wide

@@ -102,6 +102,41 @@ void coarse_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
   }
 }
 
+/// Rows [lo, hi) of the fine pass (below): row i, column jj of the group
+/// gathers from row i + res[jj], read from the matrix below hi and from
+/// `window` (the first max_res rows at or past hi, `width` apart) at or
+/// past it.  `idx` (width entries, res[jj]*n + jj) enables the kernel
+/// path; see fine_rotate_group.  The skinny engine runs one call per slab
+/// of its team, each with its neighbour's first rows as the window.
+template <typename T>
+void fine_rotate_rows(T* base, std::uint64_t lo, std::uint64_t hi,
+                      std::uint64_t n, std::uint64_t width,
+                      const std::uint64_t* res, std::uint64_t max_res,
+                      const T* window, const kernels::kernel_set* ks,
+                      const std::uint64_t* idx, bool stream) {
+  std::uint64_t i = lo;
+  if constexpr (kernels::has_gather_lanes<T>) {
+    if (ks != nullptr && idx != nullptr && hi - lo > max_res) {
+      const std::uint64_t unwrapped = hi - max_res;
+      for (; i < unwrapped; ++i) {
+        T* row = base + i * n;
+        kernels::gather_index(*ks, row, row, idx,
+                              static_cast<std::size_t>(width), stream);
+      }
+      if (stream) {
+        ks->fence();
+      }
+    }
+  }
+  for (; i < hi; ++i) {
+    for (std::uint64_t jj = 0; jj < width; ++jj) {
+      const std::uint64_t s = i + res[jj];
+      base[i * n + jj] =
+          s < hi ? base[s * n + jj] : window[(s - hi) * width + jj];
+    }
+  }
+}
+
 /// Fine pass: apply per-column residual gather offsets res[jj] (all
 /// strictly less than min(width, m)) to the group in one streaming sweep.
 /// The first max(res) rows are saved in `head` (width*width elements), so
@@ -142,30 +177,12 @@ void fine_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
   for (std::uint64_t r = 0; r < max_res; ++r) {
     copy_back(head + r * width, base + r * n, width);
   }
-  std::uint64_t i = 0;
-  if constexpr (kernels::has_gather_lanes<T>) {
-    if (ks != nullptr && idx != nullptr && m > max_res) {
-      for (std::uint64_t jj = 0; jj < width; ++jj) {
-        idx[jj] = res[jj] * n + jj;
-      }
-      const std::uint64_t unwrapped = m - max_res;
-      for (; i < unwrapped; ++i) {
-        T* row = base + i * n;
-        kernels::gather_index(*ks, row, row, idx,
-                              static_cast<std::size_t>(width), stream);
-      }
-      if (stream) {
-        ks->fence();
-      }
-    }
-  }
-  for (; i < m; ++i) {
+  if (ks != nullptr && idx != nullptr) {
     for (std::uint64_t jj = 0; jj < width; ++jj) {
-      const std::uint64_t s = i + res[jj];
-      base[i * n + jj] =
-          s < m ? base[s * n + jj] : head[(s - m) * width + jj];
+      idx[jj] = res[jj] * n + jj;
     }
   }
+  fine_rotate_rows(base, 0, m, n, width, res, max_res, head, ks, idx, stream);
 }
 
 /// Cache-aware rotation of one `w`-wide column group at j0 by per-column

@@ -23,7 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "core/cycle_walker.hpp"
 #include "core/equations.hpp"
+#include "core/errors.hpp"
 #include "core/fastdiv.hpp"
 #include "core/fastdiv64.hpp"
 #include "core/gcdmath.hpp"
@@ -373,6 +375,171 @@ bool check_shape(const Math& mm, report& rep,
   return true;
 }
 
+namespace detail {
+
+/// A walker mover over slot labels (each slot starts holding its own
+/// index) that records which item writes each slot and checks every
+/// write, read and segment close against the gather f.
+template <typename Math>
+struct label_mover {
+  const Math& mm;
+  bool inverse;  ///< f = q^-1 instead of q
+  std::vector<std::uint64_t>& label;
+  std::vector<std::uint64_t>& writer;  ///< item + 1 that wrote the slot
+  bool record;                         ///< first pass: fill `writer`
+  std::uint64_t item = 0;
+  std::uint64_t held = 0;
+  std::string fault;
+
+  [[nodiscard]] std::uint64_t f(std::uint64_t i) const {
+    return inverse ? mm.q_inv(i) : mm.q(i);
+  }
+  void note(const std::string& what) {
+    if (fault.empty()) {
+      fault = what;
+    }
+  }
+  void write(std::uint64_t dst, std::uint64_t value) {
+    if (record) {
+      if (writer[dst] != 0) {
+        note("slot " + std::to_string(dst) + " written twice");
+      }
+      writer[dst] = item + 1;
+    }
+    label[dst] = value;
+  }
+  void save(std::uint64_t i) { held = label[i]; }
+  void move(std::uint64_t dst, std::uint64_t src) {
+    if (!record && writer[src] != item + 1) {
+      note("segment " + std::to_string(item) + " reads slot " +
+           std::to_string(src) + ", which another segment writes");
+    }
+    if (label[src] != src) {
+      note("slot " + std::to_string(src) + " read after it was written");
+    }
+    write(dst, label[src]);
+  }
+  void restore(std::uint64_t i) {
+    if (held != f(i)) {
+      note("segment ending at slot " + std::to_string(i) +
+           " closes on saved row " + std::to_string(held) +
+           " instead of its source " + std::to_string(f(i)));
+    }
+    write(i, held);
+  }
+  void exchange(std::uint64_t /*i*/) { note("unexpected scatter walk"); }
+  void prefetch(std::uint64_t /*i*/) const {}
+  void finish() const {}
+};
+
+}  // namespace detail
+
+/// Proves, for one skinny shape, that the segment split of q and q^-1 —
+/// discovery capped at `seg` hops (cpu/skinny.hpp's skinny_permute_rows
+/// with skinny_segment_hops) — is a correct parallel schedule: running
+/// the whole cycles and the segments (each closed from a copy of its
+/// successor's first row, taken before any item runs) writes every slot
+/// of a nontrivial cycle exactly once with its gather source and no other
+/// slot, no item reads a slot another item writes, each segment closes on
+/// its successor's saved row, and the split count stays within
+/// max_splits.  Runs the engine's own discovery and walks
+/// (discover_or_replay, move_cycle, move_segment, next_segment) on slot
+/// labels.  q must already be proven a bijection (check_shape).
+template <typename Math>
+bool check_segments(const Math& mm, std::uint64_t seg, report& rep) {
+  const std::uint64_t m = mm.m;
+  const std::string tag =
+      detail::shape_tag(m, mm.n) + ", segments of " + std::to_string(seg);
+  inplace::detail::visited_map visited;
+  visited.allocate(m, scratch_rung::full);
+  std::vector<std::uint64_t> label(m);
+  std::vector<std::uint64_t> writer(m);
+  for (const bool inverse : {false, true}) {
+    const char* pass = inverse ? "q^-1" : "q";
+    const auto f = [&](std::uint64_t i) {
+      return inverse ? mm.q_inv(i) : mm.q(i);
+    };
+    inplace::detail::cycle_memo memo;
+    const std::vector<std::uint64_t>& whole =
+        inplace::detail::discover_or_replay(memo, 1, m, f, visited, seg);
+    rep.checks += 1;
+    if (memo.splits.size() > inplace::detail::max_splits(m, seg)) {
+      rep.fail(tag + ": " + pass + " split into " +
+               std::to_string(memo.splits.size()) +
+               " segments, past the saved-row bound");
+      return false;
+    }
+    std::fill(writer.begin(), writer.end(), 0);
+    // Pass 1 records each slot's writer; pass 2 reruns and checks that
+    // every item reads only slots it writes itself.
+    for (const bool record : {true, false}) {
+      for (std::uint64_t i = 0; i < m; ++i) {
+        label[i] = i;
+      }
+      std::vector<std::uint64_t> saved;
+      for (const std::uint64_t s : memo.splits) {
+        saved.push_back(label[s]);
+      }
+      detail::label_mover<Math> mv{mm, inverse, label, writer, record, 0, 0,
+                                   {}};
+      // External walk checks: a segment that never reaches its successor
+      // throws past its bound instead of looping.
+      constexpr auto checked = inplace::detail::walk_check::external;
+      try {
+        for (std::uint64_t k = 0; k < whole.size() + memo.splits.size();
+             ++k) {
+          mv.item = k;
+          if (k < whole.size()) {
+            inplace::detail::move_cycle<checked>(mv, f, whole[k], m);
+            continue;
+          }
+          const std::size_t s = k - whole.size();
+          const std::size_t next = inplace::detail::next_segment(memo, s);
+          mv.held = saved[next];
+          inplace::detail::move_segment<checked>(mv, f, memo.splits[s],
+                                                 memo.splits[next], seg);
+        }
+      } catch (const error&) {
+        mv.note("item " + std::to_string(mv.item) +
+                " ran past its hop bound without closing");
+      }
+      for (std::uint64_t i = 0; i < m && mv.fault.empty(); ++i) {
+        rep.checks += 2;
+        if (label[i] != f(i)) {
+          mv.note("slot " + std::to_string(i) + " holds row " +
+                  std::to_string(label[i]) + ", not its source " +
+                  std::to_string(f(i)));
+        } else if ((writer[i] != 0) != (f(i) != i)) {
+          mv.note("slot " + std::to_string(i) +
+                  (writer[i] != 0 ? " is fixed but written"
+                                  : " is never written"));
+        }
+      }
+      if (!mv.fault.empty()) {
+        rep.fail(tag + ": " + pass + " " + mv.fault);
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// check_segments over a few segment lengths for a shape the skinny
+/// engine runs (n <= skinny_col_limit, m > n) whose algebra check_shape
+/// already proved (`proven`): short enough that the small shapes of a
+/// sweep split their cycles too.
+template <typename Math>
+void check_skinny_segments(const Math& mm, bool proven, report& rep) {
+  if (!proven || mm.n > skinny_col_limit || mm.m <= mm.n) {
+    return;
+  }
+  for (const std::uint64_t seg : {1, 2, 3, 7}) {
+    if (!check_segments(mm, seg, rep)) {
+      return;
+    }
+  }
+}
+
 /// Sweep configuration for run_sweep / the permcheck tool.
 struct sweep_options {
   std::uint64_t min_extent = 2;
@@ -407,10 +574,10 @@ inline report run_sweep(const sweep_options& opt) {
       const std::uint64_t n = lo + static_cast<std::uint64_t>(k) % extents;
       if (opt.use_plain_divmod) {
         const faulty_math<plain_divmod> mm(m, n, opt.inject);
-        check_shape(mm, local, scratch);
+        check_skinny_segments(mm, check_shape(mm, local, scratch), local);
       } else {
         const faulty_math<fast_divmod> mm(m, n, opt.inject);
-        check_shape(mm, local, scratch);
+        check_skinny_segments(mm, check_shape(mm, local, scratch), local);
       }
       if (opt.inject == fault::fastdiv_magic) {
         check_divmod_agreement(n, m * n, opt.inject, local);
@@ -441,7 +608,7 @@ inline report verify_shape(std::uint64_t m, std::uint64_t n,
   report rep;
   detail::sweep_scratch scratch;
   const faulty_math<fast_divmod> mm(m, n, inject);
-  check_shape(mm, rep, scratch);
+  check_skinny_segments(mm, check_shape(mm, rep, scratch), rep);
   if (inject == fault::fastdiv_magic) {
     check_divmod_agreement(n, m * n, inject, rep);
   }

@@ -9,6 +9,10 @@
 #include <omp.h>
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
@@ -132,6 +136,27 @@ struct cpu_topology {
   return false;  // no portable affinity API: fall back (loudly) upstream
 #endif
 }
+
+/// Happens-before edges of an OpenMP team that ThreadSanitizer cannot see:
+/// libgomp ships uninstrumented, so its fork and join barriers are
+/// invisible and every hand-off across them (rows one region writes and
+/// the next reads) reads as a race.  A team calls release() before it
+/// forks and as each thread finishes, acquire() as each thread starts and
+/// after the join — the edges the barriers provide.  Both compile to
+/// nothing outside TSan builds.
+class team_edges {
+ public:
+  void release() {
+#if defined(__SANITIZE_THREAD__)
+    __tsan_release(this);
+#endif
+  }
+  void acquire() {
+#if defined(__SANITIZE_THREAD__)
+    __tsan_acquire(this);
+#endif
+  }
+};
 
 /// Scoped override of the OpenMP thread count; restores on destruction.
 ///

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/transpose.hpp"
+#include "cpu/skinny.hpp"
 #include "util/matrix.hpp"
 
 namespace {
@@ -106,6 +107,30 @@ TEST(Permcheck, SeededBugSweepFailsAcrossShapes) {
   EXPECT_FALSE(rep.ok());
   EXPECT_GT(rep.failures, 0u);
   EXPECT_FALSE(rep.messages.empty());
+}
+
+// --- the skinny q / q^-1 segment split ---------------------------------------
+
+TEST(Permcheck, SegmentSplitOfQIsAParallelSchedule) {
+  // Skinny shapes (n <= 32 < m) at segment lengths from one hop up to
+  // the engine's own: every split writes each slot once, reads only its
+  // own slots and closes on its successor's saved row.
+  for (const auto& [m, n] : {std::pair<std::uint64_t, std::uint64_t>{5, 4},
+                             {97, 7},
+                             {96, 12},
+                             {2047, 32},
+                             {4099, 5},
+                             {9000, 24}}) {
+    const inplace::transpose_math<inplace::fast_divmod> mm(m, n);
+    for (const std::uint64_t seg :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{5},
+          std::uint64_t{64}, inplace::detail::skinny_segment_hops}) {
+      report rep;
+      EXPECT_TRUE(inplace::verify::check_segments(mm, seg, rep))
+          << joined_messages(rep);
+      EXPECT_GT(rep.checks, 0u);
+    }
+  }
 }
 
 // --- the verifier models what the engines actually do ------------------------

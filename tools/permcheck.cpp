@@ -158,7 +158,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "permcheck: OK — %llu shapes (%llu <= m, n <= %llu), %llu predicates "
-      "verified (Eqs. 23/24/26/31-36, stepper, fastdiv, fastdiv64)\n",
+      "verified (Eqs. 23/24/26/31-36, stepper, fastdiv, fastdiv64, skinny "
+      "q segment split)\n",
       static_cast<unsigned long long>(rep.shapes),
       static_cast<unsigned long long>(opt.min_extent),
       static_cast<unsigned long long>(opt.max_extent),
