@@ -519,12 +519,12 @@ const std::vector<std::uint64_t>& discover_or_replay(cycle_memo& memo,
   return memo.starts;
 }
 
-/// Applies every cycle in `leaders` through `mv`, then publishes the
-/// mover's streamed stores.
+/// Applies every cycle whose leader `leaders` lists (a leader list or an
+/// index range) through `mv`, then publishes the mover's streamed stores.
 template <walk_check C = walk_check::internal, typename Mover,
-          typename IndexFn>
-void move_cycles(Mover& mv, IndexFn f,
-                 const std::vector<std::uint64_t>& leaders, std::uint64_t n) {
+          typename IndexFn, typename Leaders>
+void move_cycles(Mover& mv, IndexFn f, const Leaders& leaders,
+                 std::uint64_t n) {
   for (const std::uint64_t y : leaders) {
     move_cycle<C>(mv, f, y, n);
   }

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <ranges>
 #include <vector>
 
 #include "core/permute.hpp"
@@ -41,14 +42,14 @@ void rotate_column_naive(T* a, std::uint64_t m, std::uint64_t n,
 }
 
 /// Coarse pass: rotate the `width`-wide column group at j0 by the common
-/// gather offset k, in place, via analytic cycle following on sub-rows.
-/// There are gcd(m, k) cycles of length m / gcd(m, k) each.
-///
-/// The hop stride is the constant k rows — large and regular, but beyond
-/// most hardware prefetchers' reach — so each hop prefetches the next
-/// source sub-row.  With a kernel set and `stream`, the sub-row stores go
-/// non-temporal (their lines are dead until the next pass); the function
-/// publishes them with one fence() before returning.
+/// gather offset k (in [0, m)), in place: the walker's cycle following
+/// over whole sub-rows with f(i) = (i + k) mod m, whose gcd(m, k) cycles
+/// (the residue classes mod gcd(m, k)) are led by 0 .. gcd(m, k) - 1.
+/// The hop stride is the constant k rows — beyond the hardware
+/// prefetchers' reach — so each hop prefetches the next source sub-row
+/// (move_segment).  With a kernel set and `stream`, the sub-row stores go
+/// non-temporal (their lines are dead until the next pass), published
+/// with one fence() before returning.
 template <typename T>
 void coarse_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
                          std::uint64_t j0, std::uint64_t width,
@@ -58,48 +59,12 @@ void coarse_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
   if (k == 0) {
     return;
   }
-  constexpr bool use_kernels = std::is_trivially_copyable_v<T>;
-  const std::size_t sub_bytes = static_cast<std::size_t>(width) * sizeof(T);
-  const auto move = [&](T* dst, const T* src, bool to_matrix) {
-    if constexpr (use_kernels) {
-      if (ks != nullptr) {
-        ((stream && to_matrix) ? ks->stream_subrow : ks->copy)(dst, src,
-                                                               sub_bytes);
-        return;
-      }
-    }
-    std::copy(src, src + width, dst);
+  block_mover<T> mv(a + j0, n, width, subrow_tmp, ks, stream);
+  const auto f = [m, k](std::uint64_t i) {
+    const std::uint64_t s = i + k;
+    return s >= m ? s - m : s;
   };
-  T* base = a + j0;
-  const std::uint64_t z = std::gcd(m, k);
-  for (std::uint64_t y = 0; y < z; ++y) {
-    move(subrow_tmp, base + y * n, /*to_matrix=*/false);
-    std::uint64_t i = y;
-    for (;;) {
-      std::uint64_t s = i + k;
-      if (s >= m) {
-        s -= m;
-      }
-      if (s == y) {
-        move(base + i * n, subrow_tmp, /*to_matrix=*/true);
-        break;
-      }
-      std::uint64_t s_next = s + k;
-      if (s_next >= m) {
-        s_next -= m;
-      }
-      if (s_next != y) {
-        kernels::prefetch_read(base + s_next * n);
-      }
-      move(base + i * n, base + s * n, /*to_matrix=*/true);
-      i = s;
-    }
-  }
-  if constexpr (use_kernels) {
-    if (ks != nullptr && stream) {
-      ks->fence();
-    }
-  }
+  move_cycles(mv, f, std::views::iota(std::uint64_t{0}, std::gcd(m, k)), m);
 }
 
 /// Rows [lo, hi) of the fine pass (below): row i, column jj of the group
@@ -151,9 +116,14 @@ void fine_rotate_rows(T* base, std::uint64_t lo, std::uint64_t hi,
 /// res*n + jj stripes at row indices >= i; within the row, res[jj']=0
 /// lanes read slot jj' itself, gathered before the block's store).  The
 /// wrapped tail rows [m - max_res, m) keep the scalar head-buffer loop.
-/// `stream` selects non-temporal row stores (the pass is a pure
-/// streaming sweep; lines are dead until the next pass), published with
-/// one fence() before returning.
+/// Row i's gather reads rows [i, i + max_res], all but the last already
+/// read for earlier rows, so one new sub-row enters per row.  The sweep
+/// issues no software prefetch: a lookahead prefetch of the entering
+/// sub-row measured slower on page-strided rows, and a per-lane prefetch
+/// of the cached window inside gather_index cost the f32 sweep ~40%
+/// (EXPERIMENTS.md, "Software prefetch in the blocked column passes").  `stream` selects non-temporal row stores (the pass is a
+/// pure streaming sweep; lines are dead until the next pass), published
+/// with one fence() before returning.
 template <typename T>
 void fine_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
                        std::uint64_t j0, std::uint64_t width,

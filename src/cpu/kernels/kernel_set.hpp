@@ -82,7 +82,8 @@ struct kernel_set {
   /// fine-rotation gather, offsets precomputed once per column group.
   /// stream_dst selects non-temporal stores (not fenced; pair with
   /// fence()).  dst == src is allowed under the no-read-after-write
-  /// pattern documented on the struct.
+  /// pattern documented on the struct.  Issues no prefetch: every caller
+  /// gathers from a window of rows its sweep already holds in cache.
   void (*gather_index_u32)(u32lane* dst, const u32lane* src,
                            const std::uint64_t* offs, std::size_t count,
                            bool stream_dst);
@@ -116,13 +117,6 @@ struct kernel_set {
 /// prefetcht0 / prfm on the vector tiers and to nothing where unsupported.
 inline void prefetch_read(const void* p) { __builtin_prefetch(p, 0, 3); }
 inline void prefetch_write(void* p) { __builtin_prefetch(p, 1, 3); }
-
-/// Distance (in cycle-following hops) the engines prefetch ahead of the
-/// current sub-row move.  One hop of lookahead already covers the DRAM
-/// latency of the next random row while the current line-sized copy
-/// retires; deeper lookahead re-evaluates the permutation without
-/// measurable gain (bench/ablation_kernels).
-inline constexpr int subrow_prefetch_hops = 1;
 
 /// The best tier the running CPU supports among those compiled into this
 /// binary (cpuid/xgetbv on x86-64, baseline NEON on aarch64).  Cached

@@ -193,11 +193,6 @@ void gather_index_u32_avx2(u32lane* dst, const u32lane* src,
   const auto* base = reinterpret_cast<const int*>(src);
   for (std::size_t i = 0; i < vec; ++i) {
     const std::size_t j = i * L;
-    if (j + index_prefetch_dist + L <= count) {
-      for (std::size_t l = 0; l < L; ++l) {
-        prefetch_read(src + offs[j + index_prefetch_dist + l]);
-      }
-    }
     const __m256i idx =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(offs + j));
     const __m128i g = _mm256_i64gather_epi32(base, idx, 4);
@@ -216,11 +211,6 @@ void gather_index_u64_avx2(u64lane* dst, const u64lane* src,
   const auto* base = reinterpret_cast<const long long*>(src);
   for (std::size_t i = 0; i < vec; ++i) {
     const std::size_t j = i * L;
-    if (j + index_prefetch_dist + L <= count) {
-      for (std::size_t l = 0; l < L; ++l) {
-        prefetch_read(src + offs[j + index_prefetch_dist + l]);
-      }
-    }
     const __m256i idx =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(offs + j));
     const __m256i g = _mm256_i64gather_epi64(base, idx, 8);

@@ -258,11 +258,6 @@ void gather_index_u32_avx512(u32lane* dst, const u32lane* src,
     }
   }
   for (; j + L <= count; j += L) {
-    if (j + index_prefetch_dist + L <= count) {
-      for (std::size_t l = 0; l < L; ++l) {
-        prefetch_read(src + offs[j + index_prefetch_dist + l]);
-      }
-    }
     const __m512i idx = _mm512_loadu_si512(offs + j);
     const __m256i g = _mm512_mask_i64gather_epi32(
         _mm256_setzero_si256(), static_cast<__mmask8>(-1), idx, src, 4);
@@ -291,11 +286,6 @@ void gather_index_u64_avx512(u64lane* dst, const u64lane* src,
     }
   }
   for (; j + L <= count; j += L) {
-    if (j + index_prefetch_dist + L <= count) {
-      for (std::size_t l = 0; l < L; ++l) {
-        prefetch_read(src + offs[j + index_prefetch_dist + l]);
-      }
-    }
     const __m512i idx = _mm512_loadu_si512(offs + j);
     const __m512i g = _mm512_mask_i64gather_epi64(
         _mm512_setzero_si512(), static_cast<__mmask8>(-1), idx, src, 8);

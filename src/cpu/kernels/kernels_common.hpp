@@ -79,11 +79,6 @@ inline void gather_index_portable(U* dst, const U* src,
 inline constexpr std::size_t affine_prefetch_dist_u32 = 128;
 inline constexpr std::size_t affine_prefetch_dist_u64 = 64;
 
-/// Lookahead (elements) into the precomputed offset stream of
-/// gather_index_*; the offsets themselves are sequential (hardware
-/// covers them), this hides the latency of the scattered src reads.
-inline constexpr std::size_t index_prefetch_dist = 32;
-
 /// Walks the same (start + j*step) mod mod index stream as the affine
 /// kernels but `dist` elements ahead, issuing one read prefetch per
 /// element.  Because the stream wraps inside [0, mod), every prefetch

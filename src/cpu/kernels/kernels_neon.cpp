@@ -45,9 +45,6 @@ void gather_index_neon(U* dst, const U* src,
                        const std::uint64_t* __restrict offs,
                        std::size_t count, bool /*stream_dst*/) {
   for (std::size_t j = 0; j < count; ++j) {
-    if (j + index_prefetch_dist < count) {
-      prefetch_read(src + offs[j + index_prefetch_dist]);
-    }
     dst[j] = src[offs[j]];
   }
 }

@@ -13,6 +13,7 @@
 
 #include "core/permute.hpp"
 #include "core/rotate.hpp"
+#include "cpu/kernels/kernel_set.hpp"
 #include "util/aligned.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
@@ -178,6 +179,130 @@ TEST(Primitives, FineRotateEqualsNaive) {
     fine_rotate_group(a.data(), m, n, 0, w, res.data(), head.data());
     ASSERT_EQ(a, want) << m << "x" << n;
   }
+}
+
+// --- The fine sweep on page-strided rows ---------------------------------
+//
+// Rows of n * sizeof(T) >= 4 KiB put every sub-row of a column group on
+// its own page.  The native kernel set gathers each unwrapped row in place
+// (gather_index); 2-byte elements take the scalar loop.  m runs from
+// max_res + 1 (every row but the first wraps into the head buffer) to
+// max_res + 11, and the group starts at an odd column, so sub-rows
+// straddle cache lines.
+
+/// The paper's residual families over a w-wide group after normalization
+/// (+j, -j, +⌊j/b⌋, -⌊j/b⌋) plus a random one, every residual < w.
+std::vector<std::vector<std::uint64_t>> residual_families(std::uint64_t w) {
+  constexpr std::uint64_t b = 3;
+  std::vector<std::vector<std::uint64_t>> out(5, std::vector<std::uint64_t>(w));
+  util::xoshiro256 rng(w);
+  for (std::uint64_t jj = 0; jj < w; ++jj) {
+    out[0][jj] = jj;
+    out[1][jj] = w - 1 - jj;
+    out[2][jj] = jj / b;
+    out[3][jj] = (w - 1) / b - jj / b;
+    out[4][jj] = rng.uniform(0, w - 1);
+  }
+  return out;
+}
+
+/// An m x n matrix of random bits: a misplaced element shows at any
+/// element width (an iota fill repeats in 2-byte elements).
+template <typename T>
+std::vector<T> random_matrix(std::uint64_t m, std::uint64_t n,
+                             std::uint64_t seed) {
+  util::xoshiro256 rng(seed);
+  std::vector<T> a(m * n);
+  for (auto& x : a) {
+    x = static_cast<T>(rng());
+  }
+  return a;
+}
+
+/// a with column j0 + jj rotated by gather offset res[jj], jj in [0, w).
+template <typename T>
+std::vector<T> fine_model(const std::vector<T>& a, std::uint64_t m,
+                          std::uint64_t n, std::uint64_t j0, std::uint64_t w,
+                          const std::vector<std::uint64_t>& res) {
+  auto out = a;
+  for (std::uint64_t i = 0; i < m; ++i) {
+    for (std::uint64_t jj = 0; jj < w; ++jj) {
+      out[i * n + j0 + jj] = a[(i + res[jj]) % m * n + j0 + jj];
+    }
+  }
+  return out;
+}
+
+/// Runs fine_rotate_group, and fine_rotate_rows over three slabs (run
+/// last-first, each with its successor's first max_res sub-rows saved as
+/// its window beforehand, as the skinny team does), on page-strided rows
+/// with the native kernel set, temporal and streamed, for every residual
+/// family and every m in [max_res + 1, max_res + 11].
+template <typename T>
+void check_fine_sweep_page_strided(std::uint64_t w) {
+  const kernels::kernel_set& ks = kernels::set_for(kernels::native_tier());
+  const std::uint64_t n = 4096 / sizeof(T) + 5;
+  const std::uint64_t j0 = 3;
+  std::vector<std::uint64_t> idx(w);
+  for (const auto& res : residual_families(w)) {
+    const std::uint64_t max_res = *std::max_element(res.begin(), res.end());
+    for (std::uint64_t jj = 0; jj < w; ++jj) {
+      idx[jj] = res[jj] * n + jj;
+    }
+    for (std::uint64_t m = max_res + 1; m <= max_res + 11; ++m) {
+      for (const bool stream : {false, true}) {
+        const auto src = random_matrix<T>(m, n, m * 131 + max_res);
+        const auto want = fine_model(src, m, n, j0, w, res);
+        auto a = src;
+        std::vector<std::uint64_t> group_idx(w);
+        util::aligned_vector<T> head(w * w);
+        fine_rotate_group(a.data(), m, n, j0, w, res.data(), head.data(), &ks,
+                          group_idx.data(), stream);
+        ASSERT_EQ(a, want) << "group: " << sizeof(T) << "-byte, " << m << "x"
+                           << n << " w=" << w << " max_res=" << max_res
+                           << " stream=" << stream;
+
+        a = src;
+        T* base = a.data() + j0;
+        const std::uint64_t cut[4] = {0, m / 3, 2 * m / 3, m};
+        std::vector<util::aligned_vector<T>> windows(3);
+        for (int s = 0; s < 3; ++s) {
+          windows[s].resize(std::max<std::uint64_t>(1, max_res) * w);
+          for (std::uint64_t r = 0; r < max_res; ++r) {
+            const std::uint64_t row = (cut[s + 1] + r) % m;
+            std::copy(base + row * n, base + row * n + w,
+                      windows[s].data() + r * w);
+          }
+        }
+        for (int s = 2; s >= 0; --s) {
+          if (cut[s] < cut[s + 1]) {
+            fine_rotate_rows(base, cut[s], cut[s + 1], n, w, res.data(),
+                             max_res, windows[s].data(), &ks, idx.data(),
+                             stream);
+          }
+        }
+        ASSERT_EQ(a, want) << "slabs: " << sizeof(T) << "-byte, " << m << "x"
+                           << n << " w=" << w << " max_res=" << max_res
+                           << " stream=" << stream;
+      }
+    }
+  }
+}
+
+TEST(Primitives, FineSweepOnPageStridedRowsU32) {
+  check_fine_sweep_page_strided<std::uint32_t>(64);  // the 256 B default
+  check_fine_sweep_page_strided<std::uint32_t>(13);
+}
+
+TEST(Primitives, FineSweepOnPageStridedRowsU64) {
+  check_fine_sweep_page_strided<std::uint64_t>(32);
+  check_fine_sweep_page_strided<std::uint64_t>(7);
+}
+
+TEST(Primitives, FineSweepOnPageStridedRowsScalarLoop) {
+  // 2-byte elements have no gather lanes: every row takes the scalar loop.
+  check_fine_sweep_page_strided<std::uint16_t>(128);
+  check_fine_sweep_page_strided<std::uint16_t>(9);
 }
 
 TEST(Primitives, GroupRotateHandlesAllPaperAmountFamilies) {
