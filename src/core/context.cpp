@@ -11,10 +11,7 @@ namespace detail {
 std::size_t context_key_hash::operator()(
     const context_key& k) const noexcept {
   // FNV-1a over the key fields; the packed byte word keeps the four
-  // enum-ish fields from washing each other out.  The multiplicative mix
-  // diffuses every field into the high bits too — context_shard_index
-  // stripes on those, and the dispersion test in tests/test_context.cpp
-  // holds this hash to a chi-square bound over adversarial shape sweeps.
+  // enum-ish fields from washing each other out.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -41,38 +38,14 @@ std::size_t context_key_hash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-namespace {
-
-/// Resolves context_options::cache_shards: 0 means the default, then
-/// round up to a power of two (context_shard_index needs one) and clamp.
-std::size_t resolve_shard_count(std::size_t requested) {
-  std::size_t n = requested == 0 ? 8 : requested;
-  n = std::bit_ceil(n);
-  return std::min<std::size_t>(n, 256);
-}
-
-std::vector<std::unique_ptr<cache_shard>> make_shards(std::size_t count) {
-  std::vector<std::unique_ptr<cache_shard>> shards;
-  shards.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    shards.push_back(std::make_unique<cache_shard>());
-  }
-  return shards;
-}
-
-}  // namespace
-
 }  // namespace detail
 
 transpose_context::transpose_context(const context_options& copts)
     : max_plans_(std::max<std::size_t>(1, copts.max_plans)),
       max_arenas_per_plan_(std::max<std::size_t>(1, copts.max_arenas_per_plan)),
       max_cached_bytes_(copts.max_cached_bytes),
-      shard_count_(detail::resolve_shard_count(copts.cache_shards)),
       worker_count_(copts.workers),
-      max_queue_(std::max<std::size_t>(1, copts.max_queue)),
-      pin_workers_(copts.pin_workers),
-      shards_(detail::make_shards(shard_count_)) {}
+      max_queue_(std::max<std::size_t>(1, copts.max_queue)) {}
 
 transpose_context::~transpose_context() {
   // Deterministic teardown: fail queued jobs, finish in-flight ones, join
@@ -82,46 +55,32 @@ transpose_context::~transpose_context() {
 
 std::shared_ptr<detail::context_entry> transpose_context::acquire_entry(
     const detail::context_key& key, bool& hit) {
-  detail::cache_shard& shard =
-      *shards_[detail::context_shard_index(key, shard_count_)];
-  util::mutex_guard lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
+  util::mutex_guard lock(cache_mu_);
+  const auto it = map_.find(key);
+  if (it != map_.end()) {
     hit = true;
     plan_hits_.fetch_add(1, std::memory_order_relaxed);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->entry;
   }
   hit = false;
   plan_misses_.fetch_add(1, std::memory_order_relaxed);
-  // Capacity is global, eviction local: make room from THIS shard's LRU
-  // tail while the whole cache is full.  With one shard this is exactly
-  // the classic global-LRU bound; with N shards a full cache whose
-  // overflow lives elsewhere lets the insert through after draining the
-  // local tail, so total plans stay within max_plans_ + shard_count_ - 1
-  // while a skewed key distribution never shrinks the effective cache
-  // (a hard ceil(max_plans/shards) quota would evict a 4-plan working
-  // set out of a 16-plan cache whenever two keys shared a stripe).
-  while (plan_count_.load(std::memory_order_relaxed) >= max_plans_ &&
-         !shard.lru.empty()) {
-    evict_locked(shard, std::prev(shard.lru.end()));
+  while (map_.size() >= max_plans_) {
+    evict_locked(std::prev(lru_.end()));
   }
-  shard.lru.push_front({key, std::make_shared<detail::context_entry>()});
-  shard.map.emplace(key, shard.lru.begin());
-  plan_count_.fetch_add(1, std::memory_order_relaxed);
-  return shard.lru.front().entry;
+  lru_.push_front({key, std::make_shared<detail::context_entry>()});
+  map_.emplace(key, lru_.begin());
+  return lru_.front().entry;
 }
 
-void transpose_context::evict_locked(detail::cache_shard& shard,
-                                     detail::context_lru_iter it) {
-  // "ctx.shard.evict" models an eviction-path fault (e.g. a failing
+void transpose_context::evict_locked(detail::context_lru_iter it) {
+  // "ctx.cache.evict" models an eviction-path fault (e.g. a failing
   // bookkeeping allocation).  Fires before any mutation so a fault
-  // leaves the shard — map, LRU, byte accounting — fully intact.
-  INPLACE_FAILPOINT("ctx.shard.evict");
+  // leaves the cache — map, LRU, byte accounting — fully intact.
+  INPLACE_FAILPOINT("ctx.cache.evict");
   const std::shared_ptr<detail::context_entry> entry = it->entry;
-  shard.map.erase(it->key);
-  shard.lru.erase(it);
-  plan_count_.fetch_sub(1, std::memory_order_relaxed);
+  map_.erase(it->key);
+  lru_.erase(it);
   plan_evictions_.fetch_add(1, std::memory_order_relaxed);
 
   // Mark the entry dead and release its stored arenas; executions holding
@@ -156,7 +115,6 @@ context_stats transpose_context::stats() const {
   }
   if (pool != nullptr) {
     s.qos = pool->qos_stats();
-    s.pinned_workers = pool->pinned_workers();
   }
   s.async_jobs = async_jobs_.load(std::memory_order_relaxed);
   s.executions = executions_.load(std::memory_order_relaxed);
@@ -171,12 +129,8 @@ context_stats transpose_context::stats() const {
 }
 
 std::size_t transpose_context::cached_plans() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    util::mutex_guard lock(shard->mu);
-    total += shard->map.size();
-  }
-  return total;
+  util::mutex_guard lock(cache_mu_);
+  return map_.size();
 }
 
 std::size_t transpose_context::cached_bytes() const {
@@ -184,11 +138,9 @@ std::size_t transpose_context::cached_bytes() const {
 }
 
 void transpose_context::clear() {
-  for (const auto& shard : shards_) {
-    util::mutex_guard lock(shard->mu);
-    while (!shard->lru.empty()) {
-      evict_locked(*shard, std::prev(shard->lru.end()));
-    }
+  util::mutex_guard lock(cache_mu_);
+  while (!lru_.empty()) {
+    evict_locked(std::prev(lru_.end()));
   }
 }
 
@@ -236,7 +188,6 @@ detail::context_workers& transpose_context::workers() {
           static_cast<std::size_t>(util::hardware_threads()), 2, 4);
     }
     cfg.max_queue = max_queue_;
-    cfg.pin_workers = pin_workers_;
     workers_ = std::make_unique<detail::context_workers>(cfg);
   }
   return *workers_;

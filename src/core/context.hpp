@@ -8,15 +8,12 @@
 // row-permutation cycle discovery.  `transpose_context` amortizes all of
 // it across calls:
 //
-//   * a *sharded* LRU plan cache keyed by (rows, cols, elem_size, element
-//     type, entry point/order, and every planning-relevant option):
-//     context_options::cache_shards lock-striped shards selected by the
-//     high bits of context_key_hash, each with its own mutex and LRU, so
-//     concurrent mixed-shape clients stop serializing on one lock.  The
-//     plan bound (context_options::max_plans) is governed globally by an
-//     atomic plan count with shard-local eviction, and the byte budget
-//     (max_cached_bytes) stays global, settled by atomic reservation
-//     against retained_bytes_;
+//   * an LRU plan cache keyed by (rows, cols, elem_size, element type,
+//     entry point/order, and every planning-relevant option): one mutex,
+//     one recency list and one key map, so at most
+//     context_options::max_plans plans are cached at any time.  The byte
+//     budget (max_cached_bytes) is settled by atomic reservation against
+//     retained_bytes_;
 //   * per-plan reusable arenas — `transposer<T>` instances holding the
 //     resolved plan, the index math, the workspace pool and the memoized
 //     cycle leaders — checked out exclusively per execution, so the warm
@@ -33,7 +30,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -60,9 +56,6 @@ namespace inplace {
 /// Sizing knobs for a transpose_context.
 struct context_options {
   /// Distinct cached plans (LRU beyond this).  Clamped to at least 1.
-  /// The bound is global across cache shards (an insert into a full
-  /// cache evicts from its own shard's LRU tail), so total cached plans
-  /// stay within max_plans + cache_shards - 1 under any key skew.
   std::size_t max_plans = 16;
 
   /// Arenas kept per plan.  Concurrent same-shape executions past this
@@ -72,13 +65,13 @@ struct context_options {
   /// Total bytes of scratch the context may pin across all cached arenas
   /// (approximate; Theorem 6 scratch plus memoized cycle leaders).  An
   /// arena whose return would exceed the budget is dropped instead of
-  /// recycled.  Global across shards, settled by atomic reservation.
+  /// recycled.  Settled by atomic reservation.
   std::size_t max_cached_bytes = std::size_t{256} << 20;
 
-  /// Lock stripes for the plan cache.  Rounded up to a power of two and
-  /// clamped to [1, 256]; 0 picks the default (8).  Set 1 to recover the
-  /// single-lock cache with one global LRU order (exact max_plans bound).
-  std::size_t cache_shards = 8;
+  /// Ignored: the plan cache has one lock.  The field remains only so
+  /// existing callers that set it still compile; deleting it waits for a
+  /// change to the benchmark, which sets it (perfbench/mixed.cpp).
+  std::size_t cache_shards = 1;
 
   /// Worker threads for submit()/transpose_batch(); 0 picks a small
   /// default.  Workers start lazily on the first async call — a context
@@ -90,12 +83,6 @@ struct context_options {
   /// 1).  Keeps a producer that outruns the workers from growing the
   /// queue — and the set of outstanding futures — without bound.
   std::size_t max_queue = 1024;
-
-  /// Pin each worker thread to one CPU of the process's allowed set
-  /// (util::pin_current_thread).  Where pinning is unsupported the pool
-  /// falls back loudly (one stderr warning) and runs unpinned;
-  /// context_stats::pinned_workers reports how many pins stuck.
-  bool pin_workers = false;
 };
 
 /// Monotonic counters describing a context's cache behavior.
@@ -120,10 +107,6 @@ struct context_stats {
   /// qos[k].settled() <= qos[k].enqueued at the moment of the read (see
   /// detail::context_workers::qos_stats for the memory-order proof).
   std::array<qos_counters, qos_class_count> qos{};
-
-  /// Workers that successfully pinned to a CPU (0 unless
-  /// context_options::pin_workers was set and the platform honored it).
-  std::uint64_t pinned_workers = 0;
 };
 
 /// One matrix in a transpose_batch() call.
@@ -193,23 +176,6 @@ struct context_key_hash {
   std::size_t operator()(const context_key& k) const noexcept;
 };
 
-/// The cache shard `key` lands in, out of `shard_count` (a power of
-/// two): the *high* bits of context_key_hash.  unordered_map buckets
-/// consume the hash modulo a bucket count — effectively the low bits —
-/// so striping on the opposite end keeps shard choice and in-shard
-/// bucketing independent.  Exposed for the dispersion test in
-/// tests/test_context.cpp.
-[[nodiscard]] inline std::size_t context_shard_index(
-    const context_key& key, std::size_t shard_count) noexcept {
-  if (shard_count <= 1) {
-    return 0;
-  }
-  const std::size_t h = context_key_hash{}(key);
-  const int width = std::numeric_limits<std::size_t>::digits;
-  const int bits = std::countr_zero(shard_count);  // log2 of a power of two
-  return h >> (width - bits);
-}
-
 /// One inline variable per element type: its address is the program-wide
 /// unique type tag for context keys (elem_size alone cannot distinguish
 /// float from int32_t, whose workspaces are distinct template types).
@@ -248,22 +214,12 @@ struct context_entry {
       INPLACE_GUARDED_BY(mu);
 };
 
-/// One node of a shard's LRU list.
+/// One node of the plan cache's LRU list.
 struct context_lru_node {
   context_key key;
   std::shared_ptr<context_entry> entry;
 };
 using context_lru_iter = std::list<context_lru_node>::iterator;
-
-/// One lock stripe of the plan cache: its own mutex, recency list and
-/// key index.  Shards never take each other's locks; the only cross-
-/// shard state is the global atomic byte budget.
-struct cache_shard {
-  mutable util::annotated_mutex mu;
-  std::list<context_lru_node> lru INPLACE_GUARDED_BY(mu);
-  std::unordered_map<context_key, context_lru_iter, context_key_hash> map
-      INPLACE_GUARDED_BY(mu);
-};
 
 }  // namespace detail
 
@@ -515,9 +471,6 @@ class transpose_context {
   [[nodiscard]] std::size_t cached_plans() const;
   [[nodiscard]] std::size_t cached_bytes() const;
 
-  /// The resolved shard count (power of two).
-  [[nodiscard]] std::size_t cache_shards() const { return shard_count_; }
-
   /// Drops every cached plan and arena (in-flight executions finish on
   /// the arenas they hold).  Counters are not reset.
   void clear();
@@ -543,15 +496,14 @@ class transpose_context {
   static constexpr std::uint8_t mode_permute_nd = 3;
   static constexpr std::uint8_t mode_permute = 4;
 
-  /// Finds (LRU-touching) or inserts the entry for `key` in its shard,
-  /// evicting past the per-shard plan bound.  Sets `hit` iff the key
-  /// was already cached.
+  /// Finds (LRU-touching) or inserts the entry for `key`, evicting from
+  /// the LRU tail past max_plans.  Sets `hit` iff the key was already
+  /// cached.
   std::shared_ptr<detail::context_entry> acquire_entry(
-      const detail::context_key& key, bool& hit);
+      const detail::context_key& key, bool& hit) INPLACE_EXCLUDES(cache_mu_);
 
-  /// Drops one LRU node of `shard` and its stored arenas.
-  void evict_locked(detail::cache_shard& shard, detail::context_lru_iter it)
-      INPLACE_REQUIRES(shard.mu);
+  /// Drops one LRU node and its stored arenas.
+  void evict_locked(detail::context_lru_iter it) INPLACE_REQUIRES(cache_mu_);
 
   /// Lazily started worker pool for the async entry points.
   detail::context_workers& workers() INPLACE_EXCLUDES(workers_mu_);
@@ -679,21 +631,16 @@ class transpose_context {
   const std::size_t max_plans_;
   const std::size_t max_arenas_per_plan_;
   const std::size_t max_cached_bytes_;
-  const std::size_t shard_count_;      ///< power of two in [1, 256]
   const std::size_t worker_count_;
   const std::size_t max_queue_;
-  const bool pin_workers_;
 
-  /// The lock stripes.  The vector itself is immutable after
-  /// construction (const, sized shard_count_); all mutation happens
-  /// inside a shard under its own mu.
-  const std::vector<std::unique_ptr<detail::cache_shard>> shards_;
+  /// The plan cache: recency order (front = most recent) and key index.
+  mutable util::annotated_mutex cache_mu_;
+  std::list<detail::context_lru_node> lru_ INPLACE_GUARDED_BY(cache_mu_);
+  std::unordered_map<detail::context_key, detail::context_lru_iter,
+                     detail::context_key_hash>
+      map_ INPLACE_GUARDED_BY(cache_mu_);
 
-  /// Plans cached across all shards.  Capacity is governed globally
-  /// (insert evicts from its own shard while this is at max_plans_), so
-  /// a skewed key distribution cannot shrink the effective cache the
-  /// way a hard per-shard quota would.
-  std::atomic<std::size_t> plan_count_{0};
   std::atomic<std::size_t> retained_bytes_{0};
   std::atomic<std::uint64_t> executions_{0};
   std::atomic<std::uint64_t> plan_hits_{0};

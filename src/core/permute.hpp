@@ -95,10 +95,10 @@ class shuffle_coverage {
 /// Scratch storage for one in-place transposition.  Holds the paper's
 /// max(m, n)-element temporary vector plus the small fixed-size buffers
 /// used by the cache-aware passes (Sections 4.6-4.7): a head buffer of
-/// width^2 elements, one sub-row, a visited bitmap and the cycle-leader
-/// list for the row permutation.  The skinny engine sizes its own subset
-/// (reserve_skinny, cpu/skinny.hpp): a line of n, plus `team` and `saved`
-/// for its parallel passes.
+/// width^2 elements, one sub-row and a visited bitmap for the row
+/// permutation.  The skinny engine sizes its own subset (reserve_skinny,
+/// cpu/skinny.hpp): a line of n, plus `team` and `saved` for its parallel
+/// passes and the split lists in `cycles`.
 /// All scratch buffers are 64-byte aligned (util::aligned_vector): the
 /// vector kernels' non-temporal and aligned paths require it, and the
 /// scalar loops assume it (std::assume_aligned below).
@@ -108,7 +108,7 @@ struct workspace {
   util::aligned_vector<T> head;    ///< width * width elements (fine rotation)
   util::aligned_vector<T> subrow;  ///< width elements (coarse rotation)
   visited_map visited;                      ///< m flags (cycle discovery)
-  cycle_memo cycles;  ///< row-permutation cycles of a memo-less pass
+  cycle_memo cycles;  ///< skinny: split segments of a memo-less pass
   std::vector<std::uint64_t> offsets;       ///< per-column residual shifts
   util::aligned_vector<std::uint64_t> index;  ///< kernel gather offsets
   util::aligned_vector<T> team;   ///< skinny: threads 1.. row + window
@@ -285,8 +285,10 @@ void column_gather_inplace(T* a, std::uint64_t m, std::uint64_t n,
 /// j0 of a row-major m x n matrix, moving width-element sub-rows through
 /// `tmp` (width elements).  The cycle leaders come from `memo` — replayed
 /// when it holds this pass's discovery (stamped `key`), discovered into
-/// it otherwise — or, with no memo, are discovered afresh into ws.cycles
-/// (Section 4.7 computes the cycles once and stores their descriptors).
+/// it otherwise (Section 4.7 computes the cycles once and stores their
+/// descriptors).  With no memo each cycle moves as soon as discovery has
+/// walked it, so no leader list is kept and nothing allocates — the
+/// memo-less runs include the noexcept rollback.
 template <typename T, typename PermFn>
 void permute_row_group(T* a, std::uint64_t m, std::uint64_t n,
                        std::uint64_t j0, std::uint64_t width, PermFn perm,
@@ -294,14 +296,15 @@ void permute_row_group(T* a, std::uint64_t m, std::uint64_t n,
                        T* tmp, const kernels::kernel_set* ks, bool stream) {
   INPLACE_REQUIRE(j0 + width <= n,
                   "row permutation column group exceeds the row width");
-  if (memo == nullptr) {
-    ws.cycles.ready = false;
-    memo = &ws.cycles;
-  }
-  const std::vector<std::uint64_t>& leaders =
-      discover_or_replay(*memo, key, m, perm, ws.visited);
   block_mover<T> mv(a + j0, n, width, tmp, ks, stream);
-  move_cycles(mv, perm, leaders, m);
+  if (memo == nullptr) {
+    discover_split_cycles(ws.cycles, m, perm, ws.visited, /*seg=*/0,
+                          [&](std::uint64_t y) { move_cycle(mv, perm, y, m); });
+    mv.finish();
+    return;
+  }
+  move_cycles(mv, perm, discover_or_replay(*memo, key, m, perm, ws.visited),
+              m);
 }
 
 }  // namespace inplace::detail

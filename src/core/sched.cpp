@@ -1,11 +1,9 @@
 #include "core/sched.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "core/failpoint.hpp"
-#include "util/threads.hpp"
 
 namespace inplace::detail {
 
@@ -32,8 +30,7 @@ bool context_workers::runs_after(const ticket& a, const ticket& b) {
 }
 
 context_workers::context_workers(const config& cfg)
-    : max_queue_(std::max<std::size_t>(1, cfg.max_queue)),
-      pin_workers_(cfg.pin_workers) {
+    : max_queue_(std::max<std::size_t>(1, cfg.max_queue)) {
   const std::size_t want = std::max<std::size_t>(1, cfg.count);
   // threads_ is guarded by join_mu_; no shutdown() can race a running
   // constructor, but holding the capability keeps the discipline uniform
@@ -44,7 +41,7 @@ context_workers::context_workers(const config& cfg)
   try {
     for (std::size_t k = 0; k < want; ++k) {
       INPLACE_FAILPOINT("ctx.spawn");
-      threads_.emplace_back([this, k] { worker_loop(k); });
+      threads_.emplace_back([this] { worker_loop(); });
     }
   } catch (...) {
     // Partial spawn: stop and join the workers that did start, so the
@@ -187,20 +184,8 @@ std::size_t context_workers::fail_tickets(std::vector<ticket>&& doomed,
   return n;
 }
 
-void context_workers::worker_loop(std::size_t index) {
+void context_workers::worker_loop() {
   t_current_pool = this;
-  if (pin_workers_) {
-    if (util::pin_current_thread(index)) {
-      pinned_count_.fetch_add(1, std::memory_order_relaxed);
-    } else if (!pin_fallback_warned_.exchange(true,
-                                              std::memory_order_relaxed)) {
-      // Loud, once per pool: pinning was requested but this platform (or
-      // its affinity policy) refused — the pool still runs, unpinned.
-      std::fprintf(stderr,
-                   "inplace: pin_workers requested but thread pinning is "
-                   "unavailable here; workers run unpinned\n");
-    }
-  }
   for (;;) {
     ticket t;
     std::exception_ptr sched_poison;

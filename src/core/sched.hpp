@@ -123,8 +123,7 @@ struct qos_counters {
 namespace detail {
 
 /// QoS-aware worker pool backing submit()/transpose_batch(), with
-/// bounded backpressure, optional CPU pinning and deterministic
-/// shutdown.  See the header comment for the scheduling and lifecycle
+/// bounded backpressure and deterministic shutdown.  See the header comment for the scheduling and lifecycle
 /// contracts.
 class context_workers {
  public:
@@ -138,7 +137,6 @@ class context_workers {
   struct config {
     std::size_t count = 1;      ///< worker threads (clamped to >= 1)
     std::size_t max_queue = 1;  ///< backpressure bound (clamped to >= 1)
-    bool pin_workers = false;   ///< request one-CPU affinity per worker
   };
 
   /// Spawns the workers.  If a thread fails to start, the already-
@@ -181,12 +179,6 @@ class context_workers {
   /// every sample, concurrency notwithstanding.
   [[nodiscard]] std::array<qos_counters, qos_class_count> qos_stats() const;
 
-  /// Workers that successfully pinned to a CPU (0 when pinning was not
-  /// requested or the platform fell back).
-  [[nodiscard]] std::size_t pinned_workers() const {
-    return pinned_count_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// One heap slot: the scheduling key plus the job closure.
   struct ticket {
@@ -200,7 +192,7 @@ class context_workers {
   /// then later deadline, then later submission.
   static bool runs_after(const ticket& a, const ticket& b);
 
-  void worker_loop(std::size_t index) INPLACE_EXCLUDES(mu_);
+  void worker_loop() INPLACE_EXCLUDES(mu_);
 
   /// Settles `doomed` with a context_shutdown carrying `what`, counting
   /// each ticket's class as cancelled.
@@ -213,7 +205,6 @@ class context_workers {
   std::uint64_t next_seq_ INPLACE_GUARDED_BY(mu_) = 0;
   bool stopping_ INPLACE_GUARDED_BY(mu_) = false;
   const std::size_t max_queue_;   ///< immutable after construction
-  const bool pin_workers_;        ///< immutable after construction
 
   // Per-class counters.  Enqueue increments are relaxed (ordered before
   // any settle of the same job by the queue mutex); settle increments
@@ -222,9 +213,6 @@ class context_workers {
   std::array<std::atomic<std::uint64_t>, qos_class_count> completed_{};
   std::array<std::atomic<std::uint64_t>, qos_class_count> expired_{};
   std::array<std::atomic<std::uint64_t>, qos_class_count> cancelled_{};
-
-  std::atomic<std::size_t> pinned_count_{0};
-  std::atomic<bool> pin_fallback_warned_{false};
 
   /// Serializes the join in concurrent shutdowns; ordered after mu_
   /// (shutdown takes mu_ first, releases it, then joins under join_mu_ —

@@ -1,9 +1,6 @@
 #pragma once
 // Thin OpenMP shims so the library builds and runs (serially) without it,
-// plus CPU-topology probing and optional thread pinning for the context
-// worker pool (context_options::pin_workers).
-
-#include <cstddef>
+// plus the TSan happens-before edges an OpenMP team needs.
 
 #if defined(INPLACE_HAVE_OPENMP)
 #include <omp.h>
@@ -11,12 +8,6 @@
 
 #if defined(__SANITIZE_THREAD__)
 #include <sanitizer/tsan_interface.h>
-#endif
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
 #endif
 
 namespace inplace::util {
@@ -56,84 +47,6 @@ struct thread_probe {
   return {threads, active, active == threads};
 #else
   return {threads, 1, threads <= 1};  // a serial build honors only "1"
-#endif
-}
-
-/// What the machine looks like to a worker pool deciding placement.
-///
-/// `allowed` counts the CPUs in *this process's* affinity mask (cgroup /
-/// taskset restrictions included), which is the honest bound for pinning;
-/// `logical` is the OS-reported online count.  On platforms without an
-/// affinity API both fall back to the OpenMP/STL estimate and
-/// `pinning_supported` is false, so callers can fall back loudly instead
-/// of silently pretending placement happened.
-struct cpu_topology {
-  int logical = 1;                ///< online logical CPUs
-  int allowed = 1;                ///< CPUs this process may run on
-  bool pinning_supported = false; ///< pin_current_thread can succeed here
-};
-
-[[nodiscard]] inline cpu_topology probe_topology() {
-  cpu_topology topo;
-#if defined(__linux__)
-  const long online = sysconf(_SC_NPROCESSORS_ONLN);
-  topo.logical = online > 0 ? static_cast<int>(online) : 1;
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
-    const int count = CPU_COUNT(&mask);
-    topo.allowed = count > 0 ? count : 1;
-    topo.pinning_supported = true;
-  } else {
-    topo.allowed = topo.logical;
-  }
-#else
-  topo.logical = hardware_threads() > 0 ? hardware_threads() : 1;
-  topo.allowed = topo.logical;
-#endif
-  return topo;
-}
-
-/// Pins the calling thread to the `index`-th CPU of the process's allowed
-/// set (wrapping modulo the set size).  Returns true when the affinity
-/// call succeeded; false where unsupported or refused, so the caller can
-/// report the fallback instead of assuming placement took effect.
-[[nodiscard]] inline bool pin_current_thread(std::size_t index) {
-#if defined(__linux__)
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
-    return false;
-  }
-  const int count = CPU_COUNT(&allowed);
-  if (count <= 0) {
-    return false;
-  }
-  // Walk to the (index mod count)-th set bit: pinning targets must come
-  // from the allowed mask or pthread_setaffinity_np fails outright.
-  // (Unsigned loop indices: the glibc CPU_* macros index bit words and
-  // warn under -Wsign-conversion when handed an int.)
-  std::size_t want = index % static_cast<std::size_t>(count);
-  std::size_t target = CPU_SETSIZE;
-  for (std::size_t cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &allowed)) {
-      if (want == 0) {
-        target = cpu;
-        break;
-      }
-      --want;
-    }
-  }
-  if (target >= CPU_SETSIZE) {
-    return false;
-  }
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(target, &one);
-  return pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
-#else
-  (void)index;
-  return false;  // no portable affinity API: fall back (loudly) upstream
 #endif
 }
 

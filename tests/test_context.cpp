@@ -156,10 +156,6 @@ TEST(Context, WarmPathPerformsNoSteadyStateAllocations) {
 TEST(Context, LruEvictionBoundsTheCache) {
   context_options copts;
   copts.max_plans = 2;
-  // One shard recovers the exact global LRU order this test asserts on;
-  // the sharded cache's per-shard bounds are covered by the Sharding
-  // tests below.
-  copts.cache_shards = 1;
   transpose_context ctx(copts);
   auto a = util::iota_matrix<double>(24, 18);
   auto b = util::iota_matrix<double>(18, 24);
@@ -528,133 +524,32 @@ TEST(Context, ConcurrentThreadProbesAreRaceFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded plan cache.
+// The plan cache.
 
-/// Builds the context key a transpose(rows, cols) of double would use.
-detail::context_key shape_key(std::uint64_t rows, std::uint64_t cols) {
-  detail::context_key key;
-  key.rows = rows;
-  key.cols = cols;
-  key.elem_size = sizeof(double);
-  key.type_tag = &detail::context_type_tag<double>;
-  return key;
-}
-
-/// Chi-square statistic of `counts` against a uniform expectation.
-double chi_square(const std::vector<std::size_t>& counts, double total) {
-  const double expected = total / static_cast<double>(counts.size());
-  double chi = 0.0;
-  for (const std::size_t c : counts) {
-    const double d = static_cast<double>(c) - expected;
-    chi += d * d / expected;
-  }
-  return chi;
-}
-
-TEST(Sharding, HashDispersesAdversarialShapeFamilies) {
-  // Adversarial sweeps a service actually sees: power-of-two extents and
-  // equal-area (m*n == const) families differ in few, structured bits.
-  // If context_key_hash's high bits (the shard stripe) washed those
-  // structures out to a few values, sharding would silently degrade to
-  // one lock.  Bound each family's dispersion with a chi-square test:
-  // for 16 shards (15 dof) the 99.9th percentile is ~37.7; a collapsed
-  // family scores in the hundreds.  Factor 2 on top absorbs the
-  // deterministic hash having no sampling noise to average over.
-  constexpr std::size_t shards = 16;
-  constexpr double chi_bound = 2.0 * 37.7;
-
-  std::vector<std::size_t> pow2(shards, 0);
-  double pow2_total = 0.0;
-  for (std::uint64_t rp = 0; rp <= 12; ++rp) {
-    for (std::uint64_t cp = 0; cp <= 12; ++cp) {
-      const auto key = shape_key(std::uint64_t{1} << rp, std::uint64_t{1} << cp);
-      ++pow2[detail::context_shard_index(key, shards)];
-      pow2_total += 1.0;
-    }
-  }
-  EXPECT_LT(chi_square(pow2, pow2_total), chi_bound)
-      << "power-of-two shapes collapsed into few shards";
-
-  // Equal m*n families: every divisor split of a highly composite area.
-  std::vector<std::size_t> area(shards, 0);
-  double area_total = 0.0;
-  for (const std::uint64_t product : {720720ull, 1048576ull, 362880ull}) {
-    for (std::uint64_t m = 1; m * m <= product; ++m) {
-      if (product % m != 0) {
-        continue;
-      }
-      ++area[detail::context_shard_index(shape_key(m, product / m), shards)];
-      ++area[detail::context_shard_index(shape_key(product / m, m), shards)];
-      area_total += 2.0;
-    }
-  }
-  EXPECT_LT(chi_square(area, area_total), chi_bound)
-      << "equal-area shape families collapsed into few shards";
-
-  // Dense small-shape sweep (the soak driver's working set shape-space).
-  std::vector<std::size_t> dense(shards, 0);
-  double dense_total = 0.0;
-  for (std::uint64_t m = 1; m <= 48; ++m) {
-    for (std::uint64_t n = 1; n <= 48; ++n) {
-      ++dense[detail::context_shard_index(shape_key(m, n), shards)];
-      dense_total += 1.0;
-    }
-  }
-  EXPECT_LT(chi_square(dense, dense_total), chi_bound)
-      << "dense shape sweep collapsed into few shards";
-}
-
-TEST(Sharding, ShardIndexIsStableAndInRange) {
-  const auto key = shape_key(123, 457);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{8}, std::size_t{64},
-                                   std::size_t{256}}) {
-    const std::size_t idx = detail::context_shard_index(key, shards);
-    EXPECT_LT(idx, shards);
-    EXPECT_EQ(idx, detail::context_shard_index(key, shards));  // pure
-  }
-  EXPECT_EQ(detail::context_shard_index(key, 1), 0u);
-}
-
-TEST(Sharding, ShardCountResolvesToPowerOfTwo) {
-  context_options copts;
-  copts.cache_shards = 0;  // 0 picks the default
-  EXPECT_EQ(transpose_context(copts).cache_shards(), 8u);
-  copts.cache_shards = 3;  // rounded up to a power of two
-  EXPECT_EQ(transpose_context(copts).cache_shards(), 4u);
-  copts.cache_shards = 1;
-  EXPECT_EQ(transpose_context(copts).cache_shards(), 1u);
-  copts.cache_shards = 1024;  // clamped
-  EXPECT_EQ(transpose_context(copts).cache_shards(), 256u);
-}
-
-TEST(Sharding, EvictionStillBoundsPlansAndReleasesBytes) {
-  // With the default shard count, the global plan population stays
-  // within max_plans + (shards - 1) rounding slack, evictions do fire,
-  // and clear() releases every retained byte (no cross-shard accounting
-  // drift in retained_bytes_).
+TEST(PlanCache, EvictionBoundsPlansAndReleasesBytes) {
+  // The plan population never exceeds max_plans, evictions do fire, and
+  // clear() releases every retained byte (no accounting drift in
+  // retained_bytes_).
   context_options copts;
   copts.max_plans = 8;
   transpose_context ctx(copts);
   for (std::uint64_t m = 8; m < 40; ++m) {
     auto a = util::iota_matrix<double>(m, 24);
     ctx.transpose(a.data(), m, 24);
+    EXPECT_LE(ctx.cached_plans(), copts.max_plans);
   }
-  const std::size_t slack = ctx.cache_shards() - 1;
-  EXPECT_LE(ctx.cached_plans(), copts.max_plans + slack);
   EXPECT_GT(ctx.stats().plan_evictions, 0u);
   ctx.clear();
   EXPECT_EQ(ctx.cached_plans(), 0u);
   EXPECT_EQ(ctx.cached_bytes(), 0u);
 }
 
-TEST(Sharding, ShardEvictFaultLeavesCacheIntact) {
-  // An injected ctx.shard.evict fault fires before the eviction mutates
+TEST(PlanCache, EvictFaultLeavesCacheIntact) {
+  // An injected ctx.cache.evict fault fires before the eviction mutates
   // anything: the transpose that triggered it fails, but the cache keeps
   // its population and byte accounting, and recovers once disarmed.
   context_options copts;
-  copts.max_plans = 2;
-  copts.cache_shards = 1;  // deterministic: third insert must evict
+  copts.max_plans = 2;  // the third insert must evict
   transpose_context ctx(copts);
   auto a = util::iota_matrix<double>(24, 18);
   auto b = util::iota_matrix<double>(18, 24);
@@ -665,7 +560,7 @@ TEST(Sharding, ShardEvictFaultLeavesCacheIntact) {
   const std::size_t bytes_before = ctx.cached_bytes();
 
   {
-    failpoint::scoped_trigger fault("ctx.shard.evict",
+    failpoint::scoped_trigger fault("ctx.cache.evict",
                                     failpoint::mode::fault);
     EXPECT_THROW(ctx.transpose(c.data(), 12, 36), failpoint::injected_fault);
     EXPECT_EQ(ctx.cached_plans(), plans_before);
@@ -679,10 +574,10 @@ TEST(Sharding, ShardEvictFaultLeavesCacheIntact) {
   EXPECT_EQ(ctx.stats().plan_evictions, 1u);
 }
 
-TEST(Sharding, ConcurrentMixedShapeTrafficSpreadsAndStaysConsistent) {
-  // The contention scenario sharding exists for: several threads, each
-  // with its own shape family, hammering one context.  Correctness per
-  // call plus conserved arena accounting at the end.
+TEST(PlanCache, ConcurrentMixedShapeTrafficStaysConsistent) {
+  // Several threads, each with its own shape family, hammering one
+  // context.  Correctness per call plus conserved arena accounting at
+  // the end.
   context_options copts;
   copts.max_plans = 64;
   transpose_context ctx(copts);

@@ -289,6 +289,54 @@ TEST(Rollback, BlockedEngineRestoresAtEveryStageBoundary) {
   }
 }
 
+// Regression: the blocked column shuffle with no memo — the pass rollback
+// and transposer::undo run it that way — appended its cycle leaders to
+// the workspace's cycle list, which workspace::reserve never sizes, so
+// the noexcept rollback allocated.  Each cycle now moves as discovery
+// walks it: on freshly reserved workspaces the list stays empty, and both
+// directions stay bit-exact against the reference engine's column pass.
+TEST(Rollback, BlockedMemoLessColumnShuffleKeepsNoLeaderList) {
+  using T = double;
+  constexpr std::uint64_t width = 8;
+  for (const auto& [m, n] : {std::pair<std::uint64_t, std::uint64_t>{64, 48},
+                             {97, 61}, {40, 25}}) {
+    SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
+    const transpose_math<fast_divmod> mm(m, n);
+    const auto src = util::iota_matrix<T>(m, n);
+    detail::workspace<T> ref_ws;
+    ref_ws.reserve(m, n, width);
+    detail::workspace_pool<T> pool(m, n, width);
+    const auto expect_no_leader_list = [&pool] {
+      // Every workspace the shuffle's team could have used, read by the
+      // thread that owns it.
+      std::vector<std::size_t> bytes(pool.size(), 0);
+#if defined(INPLACE_HAVE_OPENMP)
+#pragma omp parallel num_threads(static_cast<int>(bytes.size()))
+      bytes[static_cast<std::size_t>(omp_get_thread_num())] =
+          pool.local().cycles.bytes();
+#else
+      bytes[0] = pool.local().cycles.bytes();
+#endif
+      for (const std::size_t b : bytes) {
+        EXPECT_EQ(b, 0u) << "a memo-less column shuffle kept a leader list";
+      }
+    };
+
+    auto got = src;
+    auto want = src;
+    detail::c2r_col_shuffle(got.data(), mm, width, pool);
+    detail::reference_col_shuffle(want.data(), mm, ref_ws);
+    expect_same(got, want, "memo-less c2r column shuffle");
+    expect_no_leader_list();
+
+    detail::r2c_col_shuffle(got.data(), mm, width, pool);
+    detail::reference_col_shuffle_inv(want.data(), mm, ref_ws);
+    expect_same(got, want, "memo-less r2c column shuffle");
+    expect_same(got, src, "r2c column shuffle did not invert c2r's");
+    expect_no_leader_list();
+  }
+}
+
 /// An m x n shape over the skinny team floor, m odd, so its passes run
 /// on the team (one slab per thread, q / q^-1 in segments).
 std::size_t skinny_team_rows(std::size_t n, std::size_t elem,

@@ -392,7 +392,6 @@ TEST(PermuteNdContext, IdentityAndEmptyBypassTheCache) {
 TEST(PermuteNdContext, EvictionAccountingWithPermExtendedKeys) {
   context_options copts;
   copts.max_plans = 2;
-  copts.cache_shards = 1;  // exact LRU bound for the accounting check
   transpose_context ctx(copts);
   const int rev3[3] = {2, 1, 0};
   for (std::size_t n = 3; n <= 6; ++n) {

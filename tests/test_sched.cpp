@@ -1,8 +1,7 @@
 // Tests for the QoS-aware scheduler (core/sched.hpp): priority ordering
 // across classes and deadlines, deadline expiry semantics, the per-class
 // counter invariant (settled <= enqueued at every concurrent sample),
-// worker pinning fallback, and the two queue-lifecycle regression fixes
-// this PR ships:
+// and two queue-lifecycle regression fixes:
 //
 //   * cancel_pending() must wake producers parked in the enqueue()
 //     backpressure wait (CancelUnblocksBlockedProducer);
@@ -28,7 +27,6 @@
 
 #include "core/context.hpp"
 #include "util/matrix.hpp"
-#include "util/threads.hpp"
 
 namespace {
 
@@ -403,50 +401,6 @@ TEST(Sched, SchedPopFaultSettlesTheTicketExactlyOnce) {
       {});
   EXPECT_EQ(second.get_future().wait_for(5s), std::future_status::ready);
   pool.shutdown(/*drain_pending=*/true);
-}
-
-TEST(Sched, TopologyProbeAndPinningFallbackAreSane) {
-  const auto topo = util::probe_topology();
-  EXPECT_GE(topo.logical, 1);
-  EXPECT_GE(topo.allowed, 1);
-  EXPECT_LE(topo.allowed, topo.logical);
-
-  context_workers::config cfg;
-  cfg.count = 2;
-  cfg.max_queue = 8;
-  cfg.pin_workers = true;
-  context_workers pool(cfg);
-  // Pinning either stuck (supported platforms) or fell back loudly; the
-  // pool serves jobs identically either way.
-  std::promise<void> ran;
-  pool.enqueue(
-      [&ran](std::exception_ptr abort) {
-        if (!abort) {
-          ran.set_value();
-        }
-      },
-      {});
-  EXPECT_EQ(ran.get_future().wait_for(5s), std::future_status::ready);
-  pool.shutdown(/*drain_pending=*/true);
-  if (topo.pinning_supported) {
-    EXPECT_EQ(pool.pinned_workers(), 2u);
-  } else {
-    EXPECT_EQ(pool.pinned_workers(), 0u);
-  }
-
-  // Context plumbing: pin_workers reaches the pool and the stats.
-  context_options copts;
-  copts.workers = 1;
-  copts.pin_workers = true;
-  transpose_context ctx(copts);
-  auto a = util::iota_matrix<double>(12, 9);
-  ctx.submit(a.data(), std::size_t{12}, std::size_t{9}).get();
-  const auto s = ctx.stats();
-  if (topo.pinning_supported) {
-    EXPECT_EQ(s.pinned_workers, 1u);
-  } else {
-    EXPECT_EQ(s.pinned_workers, 0u);
-  }
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //
 // Traffic model:
 //   * shape popularity is Zipf-distributed (a few hot shapes, a long
-//     tail), the regime the sharded plan cache serves;
+//     tail), the regime the LRU plan cache serves;
 //   * arrivals are bursty: requests are submitted in random-length
 //     bursts separated by random think-time, so queue depth swings
 //     instead of sitting at a fixed point;
@@ -490,7 +490,7 @@ int run_soak(const soak_options& opt) {
         failpoint::fires("ctx.worker.job") +
         failpoint::fires("ctx.queue.push") +
         failpoint::fires("ctx.sched.pop") +
-        failpoint::fires("ctx.shard.evict") + failpoint::fires("ctx.spawn");
+        failpoint::fires("ctx.cache.evict") + failpoint::fires("ctx.spawn");
     if (fired == 0) {
       fail("soak: FAIL --expect-failpoints but no ctx.* failpoint fired "
            "(check the INPLACE_FAILPOINTS spelling)\n");

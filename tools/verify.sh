@@ -144,17 +144,6 @@ if [[ $bench -eq 1 ]]; then
   # the forced-scalar vs native-tier bit-exactness check runs in earnest.
   # Full-scale speedup gate: build/bench/ablation_kernels (no --scale).
   "$repo_root/build/bench/ablation_kernels" --scale 0.02 --no-json
-  echo "=== bench gate: sharded plan cache vs committed baseline"
-  # Deterministic gates (bit-exactness, conservation, stripe dispersion)
-  # always run; the contention timing gate (sharded >= 1.05x single-lock
-  # at 8 threads) arms itself only on hosts with >= 4 logical CPUs.  Full
-  # scale (sub-second): the quick scales are spawn-cost dominated and
-  # would not be comparable to the committed full-scale baseline.
-  "$repo_root/build/bench/ablation_cache_sharding" \
-      --json "$bench_tmp/BENCH_ablation_cache_sharding.json"
-  "$repo_root/build/tools/bench_gate" \
-      "$repo_root/bench/baselines/BENCH_ablation_cache_sharding.json" \
-      "$bench_tmp/BENCH_ablation_cache_sharding.json"
   echo "=== bench gate: tensor decomposition search vs committed baseline"
   # Full scale: the searched-vs-worst-order timing gate arms only at
   # (near-)full scale, and quick scales would not be comparable to the
@@ -185,7 +174,7 @@ if [[ $soak -eq 1 ]]; then
   # must settle exactly one future, leave its buffer untouched and keep
   # every conservation gate green.  --expect-failpoints asserts the arms
   # actually fired, so a renamed failpoint cannot produce a vacuous pass.
-  INPLACE_FAILPOINTS="ctx.worker.job:fault:997:50,ctx.sched.pop:fault:1499:20,ctx.queue.push:fault:1999:20,ctx.shard.evict:fault:499:20" \
+  INPLACE_FAILPOINTS="ctx.worker.job:fault:997:50,ctx.sched.pop:fault:1499:20,ctx.queue.push:fault:1999:20,ctx.cache.evict:fault:499:20" \
       "$repo_root/build/tools/soak" --requests 100000 --expect-failpoints
 fi
 
