@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", w == 128 ? "   <- default (one cache line)" : "");
   }
 
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

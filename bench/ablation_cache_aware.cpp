@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   std::printf("\n(the gap widens with array size as naive column passes "
               "touch one cache line per element)\n");
 
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   rep.add_series("heuristic_gbs", "GB/s", heuristic);
   rep.note("heuristic_wins", static_cast<std::uint64_t>(heuristic_wins));
   rep.note("shapes", static_cast<std::uint64_t>(count));
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

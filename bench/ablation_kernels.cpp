@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
   rep.note("tile_gate_applicable", tile_gate_applicable);
   rep.note("tile_gate_met", tile_gate_met);
   rep.note("tile_gate_hits", static_cast<double>(tile_hits));
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
 
   if (!bit_exact || !tile_bit_exact) {

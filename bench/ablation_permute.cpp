@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   rep.note("verdicts_ok", verdicts_ok);
   rep.note("gate_applicable", gate_applicable);
   rep.note("gate_met", gate_applicable ? gate_met : true);
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
 
   if (!verdicts_ok) {

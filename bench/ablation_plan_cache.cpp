@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
               "largest where setup rivals the O(mn) data movement)\n");
   rep.note("warm_loop_steady_state", steady_state_ok);
 
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   if (!steady_state_ok) {
     std::fprintf(stderr,

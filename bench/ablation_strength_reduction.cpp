@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
               "host; the gain concentrates where index math dominates "
               "memory traffic)\n");
 
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

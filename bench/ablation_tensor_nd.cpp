@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   rep.note("warm_loop_steady_state", steady_state_ok);
   rep.note("timing_gate_armed", timing_armed);
 
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   if (!exact_ok || !model_ok || !steady_state_ok || !timing_ok) {
     std::fprintf(stderr,

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
   rep.add_series("gustavson_like_gbs", "GB/s", gust);
   rep.note("matrices", static_cast<std::uint64_t>(count));
   rep.note("hardware_threads", util::hardware_threads());
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

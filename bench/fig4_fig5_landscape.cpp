@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   rep.add_sample("c2r_band_over_bulk", "ratio", c2r_band);
   rep.add_sample("r2c_band_over_bulk", "ratio", r2c_band);
   rep.note("grid", static_cast<std::uint64_t>(grid));
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

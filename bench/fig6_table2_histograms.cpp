@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   rep.add_series("c2r_double_gbs", "GB/s", c2r_d);
   rep.note("matrices", static_cast<std::uint64_t>(count));
   rep.note("well_tiled", static_cast<std::uint64_t>(well_tiled));
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   rep.add_series("skinny_gbs", "GB/s", skinny_gbs);
   rep.add_series("general_gbs", "GB/s", general_gbs);
   rep.note("workloads", static_cast<std::uint64_t>(count));
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

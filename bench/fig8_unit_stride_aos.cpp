@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   rep.add_series("measured_regtile_gbs", "GB/s", meas_tile.y);
   rep.add_series("measured_staged_gbs", "GB/s", meas_staged.y);
   rep.add_series("measured_strided_gbs", "GB/s", meas_direct.y);
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

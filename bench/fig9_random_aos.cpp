@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   rep.add_series("model_c2r_gbs", "GB/s", model_gbs(c2r));
   rep.add_series("model_vector_gbs", "GB/s", model_gbs(vec));
   rep.add_series("model_direct_gbs", "GB/s", model_gbs(direct));
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   rep.add_series("model_landscape_small_n_gbs", "GB/s", small_n);
   rep.add_series("model_landscape_bulk_gbs", "GB/s", bulk);
   rep.note("sampled_arrays", static_cast<std::uint64_t>(samples));
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

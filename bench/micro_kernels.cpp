@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
   telemetry::scoped_sink sink_guard(&coll);
   reporting_console reporter(rep);
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  rep.attach_telemetry(coll, INPLACE_TELEMETRY_ENABLED != 0);
+  rep.attach_telemetry(coll);
   rep.write();
   return 0;
 }

@@ -272,7 +272,7 @@ class transpose_context {
     if (total == 0) {
       detail::note_tensor_record<T>(0, dims.size(), 0, false,
                                     scratch_rung::full, "empty");
-      INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total, 0, 0);
+      const telemetry::span span_total{telemetry::stage::total, 0, 0};
       return;
     }
     const detail::nd_normalized norm = detail::normalize_nd(dims, perm);
@@ -281,8 +281,8 @@ class transpose_context {
       // the degenerate-shape telemetry contract the 2-D executor keeps.
       detail::note_tensor_record<T>(norm.total, dims.size(), 0, false,
                                     scratch_rung::full, "identity");
-      INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                             2 * norm.total * sizeof(T), 0);
+      const telemetry::span span_total{telemetry::stage::total,
+                                       2 * norm.total * sizeof(T), 0};
       return;
     }
 
@@ -331,8 +331,8 @@ class transpose_context {
       // but never cached — an identity arena holds nothing worth
       // pinning.
       detail::note_perm_record<T>(plan, 0, false);
-      INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                             2 * plan.n * sizeof(T), 0);
+      const telemetry::span span_total{telemetry::stage::total,
+                                       2 * plan.n * sizeof(T), 0};
       return;
     }
 

@@ -62,17 +62,13 @@ namespace inplace {
 namespace detail {
 
 /// Emits one telemetry plan record: the fields every front end shares
-/// here, its own through `fill`.  Compiles to an empty function unless
-/// the translation unit defines INPLACE_TELEMETRY.  `from_cache` marks
-/// transpose_context cache hits so warm and cold executions dedup apart.
+/// here, its own through `fill`.  Costs one sink load when no sink is
+/// installed.  `from_cache` marks transpose_context cache hits so warm
+/// and cold executions dedup apart.
 template <typename T, typename Fill>
-inline void note_record([[maybe_unused]] const char* engine,
-                        [[maybe_unused]] const char* direction,
-                        [[maybe_unused]] int threads,
-                        [[maybe_unused]] bool from_cache,
-                        [[maybe_unused]] scratch_rung rung,
-                        [[maybe_unused]] Fill&& fill) {
-#if INPLACE_TELEMETRY_ENABLED
+inline void note_record(const char* engine, const char* direction,
+                        int threads, bool from_cache, scratch_rung rung,
+                        Fill&& fill) {
   if (telemetry::current_sink() != nullptr) {
     // Predict the pool this request would get WITHOUT touching the
     // OpenMP runtime.  The old probe constructed a thread_count_guard,
@@ -90,9 +86,8 @@ inline void note_record([[maybe_unused]] const char* engine,
     rec.from_cache = from_cache;
     rec.rung = rung_name(rung);
     fill(rec);
-    INPLACE_TELEMETRY_PLAN(rec);
+    telemetry::note_plan(rec);
   }
-#endif
 }
 
 /// The 2-D plan record of an execution about to run.
@@ -617,13 +612,6 @@ pass_list<T> lower_passes(const arena<T>& a) {
   return dir == direction::c2r ? direction::r2c : direction::c2r;
 }
 
-/// A stage's telemetry span: tag, bytes moved, scratch held.
-struct span_spec {
-  telemetry::stage tag = telemetry::stage::total;
-  std::uint64_t bytes = 0;
-  std::uint64_t scratch = 0;
-};
-
 /// Undoes the first `done` stages of a list run in direction `dir`, in
 /// reverse order, each body untuned in the opposite direction.
 /// Best-effort by design: if an inverse itself fails, the buffer is left
@@ -648,8 +636,9 @@ void rollback_passes(Stages& stages, std::size_t done,
 /// run(k, dir, tuned), whose inverse is the same body in the opposite
 /// direction (c2r means "as planned" where there is no C2R/R2C reading);
 /// boundary(k), the failpoint where stages [0, k) are complete, k in
-/// [0, size()]; and optionally span(k) and restores(k), true when stage
-/// k is itself a stage loop.  Forward runs are tuned.
+/// [0, size()]; and optionally span(k), stage k's telemetry::span_spec
+/// (asked for only while a sink is installed), and restores(k), true when
+/// stage k is itself a stage loop.  Forward runs are tuned.
 ///
 /// A throw at a boundary rolls the completed stages back before it
 /// continues.  The mid-stage rule: a throw from inside a stage that
@@ -667,8 +656,7 @@ void run_passes(Stages& stages, direction dir) {
     while (done < count) {
       in_stage = true;
       if constexpr (requires { stages.span(done); }) {
-        [[maybe_unused]] const span_spec sp = stages.span(done);
-        INPLACE_TELEMETRY_SPAN(stage_span, sp.tag, sp.bytes, sp.scratch);
+        const telemetry::span stage_span{[&] { return stages.span(done); }};
         stages.run(done, dir, /*tuned=*/true);
       } else {
         stages.run(done, dir, /*tuned=*/true);
@@ -722,7 +710,7 @@ struct pass_stages {
       INPLACE_FAILPOINT(boundary_name(a.plan, passes.at[k - 1].name).c_str());
     }
   }
-  [[nodiscard]] span_spec span(std::size_t k) const {
+  [[nodiscard]] telemetry::span_spec span(std::size_t k) const {
     return {passes.at[k].stage, 2 * a.plan.m * a.plan.n * sizeof(T), 0};
   }
 };
@@ -795,8 +783,8 @@ class transposer {
       // still executions — record the plan and the total span so bench
       // JSON does not silently undercount 1 x n / m x 1 calls.
       detail::note_plan_record<T>(plan, from_cache);
-      INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                             2 * plan.m * plan.n * sizeof(T), 0);
+      const telemetry::span span_total{telemetry::stage::total,
+                                       2 * plan.m * plan.n * sizeof(T), 0};
       return;
     }
     if (plan.rung == scratch_rung::cycle_follow) {
@@ -804,8 +792,8 @@ class transposer {
       // strictly in-place O(1)-space fallback instead of the planned
       // engine (no workspaces exist to hand it).
       detail::note_plan_record<T>(plan, from_cache);
-      INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                             2 * plan.m * plan.n * sizeof(T), 0);
+      const telemetry::span span_total{telemetry::stage::total,
+                                       2 * plan.m * plan.n * sizeof(T), 0};
       detail::run_cycle_follow(data, plan);
       return;
     }
@@ -824,9 +812,11 @@ class transposer {
                   "workspace line smaller than the engine's scratch bound "
                   "(skinny: n; otherwise Theorem 6's max(m, n))");
     detail::note_plan_record<T>(plan, from_cache);
-    INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                           2 * plan.m * plan.n * sizeof(T),
-                           plan.scratch_elements() * sizeof(T));
+    const telemetry::span span_total{[&] {
+      return telemetry::span_spec{telemetry::stage::total,
+                                  2 * plan.m * plan.n * sizeof(T),
+                                  plan.scratch_elements() * sizeof(T)};
+    }};
     detail::pass_stages<T> stages(data, a_, passes_);
     detail::run_passes(stages, plan.dir);
   }

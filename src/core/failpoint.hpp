@@ -3,8 +3,7 @@
 //
 // A *failpoint* is a named site in the library — an allocation, a stage
 // boundary, a worker-pool transition — where a test can ask the library
-// to fail on purpose.  The design copies the telemetry layer's two-gate
-// structure exactly:
+// to fail on purpose.  Two gates keep the sites off the hot paths:
 //
 //   * Compile-time gate: the INPLACE_FAILPOINT(name) macro expands to
 //     nothing unless the translation unit defines INPLACE_FAILPOINTS.
@@ -96,9 +95,10 @@ class scoped_trigger {
 
 }  // namespace inplace::failpoint
 
-// The call-site macro.  Per-TU opt-in, exactly like INPLACE_TELEMETRY:
-// without INPLACE_FAILPOINTS the site vanishes, with it the site costs
-// one relaxed atomic load until something is armed.
+// The call-site macro.  Per-TU opt-in (unlike telemetry spans, which
+// are always compiled): without INPLACE_FAILPOINTS the site vanishes, so
+// no environment variable can arm faults in a user's process; with it
+// the site costs one relaxed atomic load until something is armed.
 #if defined(INPLACE_FAILPOINTS)
 #define INPLACE_FAILPOINT(name)                    \
   do {                                             \

@@ -243,8 +243,8 @@ class permuter {
       // Degenerate and identity runs are still executions: record them
       // so bench JSON does not silently undercount (the 2-D contract).
       detail::note_perm_record<T>(plan_, 0, from_cache);
-      INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                             2 * plan_.n * sizeof(T), 0);
+      const telemetry::span span_total{telemetry::stage::total,
+                                       2 * plan_.n * sizeof(T), 0};
       return;
     }
     INPLACE_REQUIRE(data != nullptr, "permuter invoked with null data");
@@ -266,8 +266,10 @@ class permuter {
     }
 #endif
     detail::note_perm_record<T>(plan_, block_width_hint(), from_cache);
-    INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                           2 * plan_.n * sizeof(T), cached_bytes());
+    const telemetry::span span_total{[&] {
+      return telemetry::span_spec{telemetry::stage::total,
+                                  2 * plan_.n * sizeof(T), cached_bytes()};
+    }};
     switch (plan_.kind) {
       case perm_kind::identity:
         return;  // handled above

@@ -7,8 +7,6 @@ namespace inplace::telemetry {
 
 namespace {
 
-std::atomic<sink*> g_sink{nullptr};
-
 /// Field-wise equality with string *contents* for the name fields: the
 /// const char* members may point into different translation units'
 /// literals for the same engine.
@@ -29,14 +27,26 @@ bool same_plan(const plan_record& a, const plan_record& b) {
 }  // namespace
 
 sink* exchange_sink(sink* s) {
-  return g_sink.exchange(s, std::memory_order_acq_rel);
+  return detail::installed_sink.exchange(s, std::memory_order_acq_rel);
 }
-
-sink* current_sink() { return g_sink.load(std::memory_order_acquire); }
 
 int& span_depth() {
   thread_local int depth = 0;
   return depth;
+}
+
+void span::open(const span_spec& spec) {
+  rec_.s = spec.s;
+  rec_.bytes_moved = spec.bytes_moved;
+  rec_.scratch_bytes = spec.scratch_bytes;
+  rec_.depth = span_depth()++;
+  start_ = clock::now();
+}
+
+void span::close() {
+  rec_.seconds = std::chrono::duration<double>(clock::now() - start_).count();
+  --span_depth();
+  sink_->on_span(rec_);
 }
 
 void collector::on_span(const span_record& rec) {

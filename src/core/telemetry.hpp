@@ -4,28 +4,23 @@
 // The paper's throughput model (Eq. 37) counts an ideal transpose as one
 // read and one write of the whole array; every engine stage (pre-rotation
 // Eq. 23, row shuffle Eq. 24/31, column shuffle Eq. 26/32-34) moves the
-// same 2*m*n*elem bytes again.  This header lets the benches attribute
-// wall time to those stages without perturbing the hot paths:
+// same 2*m*n*elem bytes again.  This header lets any build attribute
+// wall time to those stages without perturbing the hot paths.  The hooks
+// (`span` and `note_plan`, placed in the engine headers) are always
+// compiled, and one runtime gate, a process-global sink pointer, decides
+// whether they record.  With no sink installed, a span costs one atomic
+// load of that pointer and a branch; with a sink, each span adds two
+// steady_clock reads per *stage* (not per element), which is noise
+// against a full matrix pass.
 //
-//   * Compile-time gate: the INPLACE_TELEMETRY macro.  Hook call sites
-//     (INPLACE_TELEMETRY_SPAN / INPLACE_TELEMETRY_PLAN, placed in the
-//     engine headers) expand to nothing when it is undefined — the
-//     default library build carries zero instrumentation code.  Bench
-//     translation units opt in per target, the same way test_contracts
-//     opts into INPLACE_ENABLE_CHECKS: the engines are header templates,
-//     so each binary instantiates its own (un)instrumented copy.
-//   * Runtime gate: a process-global sink pointer.  With no sink
-//     installed, an instrumented span costs one atomic load and a branch;
-//     with a sink, each span adds two steady_clock reads per *stage* (not
-//     per element), which is noise against a full matrix pass.
-//
-// The sink registry and the bounded `collector` below compile
-// unconditionally into the library so that instrumented and plain
-// translation units can share one recording endpoint.
+// The sink registry and the bounded `collector` below live in the
+// library, so a production process can install a sink and read where its
+// time went without recompiling.
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -111,8 +106,16 @@ class sink {
 /// and returns the previous sink.
 sink* exchange_sink(sink* s);
 
+namespace detail {
+/// The installed sink.  Defined inline so that every hook's gate is one
+/// load, not a call; only exchange_sink stores to it.
+inline std::atomic<sink*> installed_sink{nullptr};
+}  // namespace detail
+
 /// The currently installed sink, or nullptr.
-[[nodiscard]] sink* current_sink();
+[[nodiscard]] inline sink* current_sink() {
+  return detail::installed_sink.load(std::memory_order_acquire);
+}
 
 /// Per-thread span nesting depth (0 outside any span).
 [[nodiscard]] int& span_depth();
@@ -180,56 +183,60 @@ class collector final : public sink {
   bool plans_truncated_ INPLACE_GUARDED_BY(mu_) = false;
 };
 
-// --- compile-time-gated hooks ------------------------------------------------
-//
-// Both span types are always defined (distinct names, so mixed-setting
-// translation units never violate the ODR); the macro picks one.  The
-// disabled span is an empty literal type — test_telemetry_off verifies
-// sizeof(stage_span) == 1 in an uninstrumented TU, the "compiles to
-// nothing" size check.
+// --- hooks -------------------------------------------------------------------
 
-/// Live span: opens on construction, records to the sink on destruction.
-class enabled_span {
+/// What a span records when it opens: the stage, its modelled traffic
+/// and the auxiliary space in use.
+struct span_spec {
+  stage s = stage::total;
+  std::uint64_t bytes_moved = 0;
+  std::uint64_t scratch_bytes = 0;
+};
+
+/// Stage span: opens on construction, records to the sink installed at
+/// that moment (if any) on destruction.  With no sink installed it costs
+/// one load of the sink pointer and a branch; the recording path is out
+/// of line.  Call sites spell it `telemetry::span name{stage, bytes,
+/// scratch}`, or `telemetry::span name{spec}` where `spec` is a callable
+/// returning a span_spec, run only while a sink is installed — for
+/// figures that cost more than the gate (an arena's byte count, an
+/// out-of-line plan query).
+class span {
  public:
-  enabled_span(stage s, std::uint64_t bytes_moved,
-               std::uint64_t scratch_bytes)
+  span(stage s, std::uint64_t bytes_moved, std::uint64_t scratch_bytes)
       : sink_(current_sink()) {
-    if (sink_ != nullptr) {
-      rec_.s = s;
-      rec_.bytes_moved = bytes_moved;
-      rec_.scratch_bytes = scratch_bytes;
-      rec_.depth = span_depth()++;
-      start_ = clock::now();
+    if (sink_ != nullptr) [[unlikely]] {
+      open({s, bytes_moved, scratch_bytes});
     }
   }
 
-  ~enabled_span() {
-    if (sink_ != nullptr) {
-      rec_.seconds =
-          std::chrono::duration<double>(clock::now() - start_).count();
-      --span_depth();
-      sink_->on_span(rec_);
+  template <std::invocable Spec>
+  explicit span(Spec&& spec) : sink_(current_sink()) {
+    if (sink_ != nullptr) [[unlikely]] {
+      open(spec());
     }
   }
 
-  enabled_span(const enabled_span&) = delete;
-  enabled_span& operator=(const enabled_span&) = delete;
+  ~span() {
+    if (sink_ != nullptr) [[unlikely]] {
+      close();
+    }
+  }
+
+  span(const span&) = delete;
+  span& operator=(const span&) = delete;
 
  private:
   using clock = std::chrono::steady_clock;
+  void open(const span_spec& spec);
+  void close();
+
   sink* sink_;
   span_record rec_;
   clock::time_point start_{};
 };
 
-/// Compiled-out span: a no-op literal type with the same constructor
-/// shape, so sizeof() checks can prove the off configuration is empty.
-struct disabled_span {
-  constexpr disabled_span(stage, std::uint64_t, std::uint64_t) noexcept {}
-};
-
-/// Forwards a plan record to the sink, if any.  Only instrumented call
-/// sites (INPLACE_TELEMETRY_PLAN) reach this.
+/// Forwards a plan record to the sink, if any.
 inline void note_plan(const plan_record& rec) {
   if (sink* s = current_sink()) {
     s->on_plan(rec);
@@ -237,23 +244,3 @@ inline void note_plan(const plan_record& rec) {
 }
 
 }  // namespace inplace::telemetry
-
-#if defined(INPLACE_TELEMETRY)
-#define INPLACE_TELEMETRY_ENABLED 1
-namespace inplace::telemetry {
-using stage_span = enabled_span;
-}
-/// Opens a RAII stage span named `var` for the rest of the scope.
-#define INPLACE_TELEMETRY_SPAN(var, st, bytes, scratch) \
-  ::inplace::telemetry::stage_span var { st, bytes, scratch }
-#define INPLACE_TELEMETRY_PLAN(rec) ::inplace::telemetry::note_plan(rec)
-#else
-#define INPLACE_TELEMETRY_ENABLED 0
-namespace inplace::telemetry {
-using stage_span = disabled_span;
-}
-/// Telemetry compiled out: the hook vanishes (arguments are not
-/// evaluated).
-#define INPLACE_TELEMETRY_SPAN(var, st, bytes, scratch) static_cast<void>(0)
-#define INPLACE_TELEMETRY_PLAN(rec) static_cast<void>(0)
-#endif

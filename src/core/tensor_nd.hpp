@@ -229,8 +229,11 @@ class nd_transposer {
                                   passes_.empty() ? "identity" : "nd",
                                   kernels::tier_name(ktier_),
                                   plan_.calibration);
-    INPLACE_TELEMETRY_SPAN(span_total, telemetry::stage::total,
-                           2 * plan_.norm.total * sizeof(T), cached_bytes());
+    const telemetry::span span_total{[&] {
+      return telemetry::span_spec{telemetry::stage::total,
+                                  2 * plan_.norm.total * sizeof(T),
+                                  cached_bytes()};
+    }};
     pass_stages stages{*this, data, from_cache};
     detail::run_passes(stages, direction::c2r);
   }
@@ -294,7 +297,7 @@ class nd_transposer {
         INPLACE_FAILPOINT("tensor.pass.begin");
       }
     }
-    [[nodiscard]] detail::span_spec span(std::size_t k) const {
+    [[nodiscard]] telemetry::span_spec span(std::size_t k) const {
       const pass_state& ps = nd.passes_[k];
       return {telemetry::stage::total, 2 * nd.plan_.norm.total * sizeof(T),
               ps.tr ? ps.tr->plan().scratch_elements() * sizeof(T)

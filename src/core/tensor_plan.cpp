@@ -50,9 +50,11 @@ double probe_line_bytes() {
 /// Times one streaming copy sweep and one strided per-row rotate-gather
 /// sweep (the engines' dominant access pattern) over a ~128 KiB slab and
 /// returns the strided/streaming ratio, or 0 on failure.  Deliberately
-/// raw loops: this TU compiles without INPLACE_TELEMETRY, so routing the
-/// probe through transposer<T> would instantiate telemetry-off inline
-/// definitions that collide (ODR) with the telemetry-on bench TUs.
+/// raw loops: the ratio calibrates the cost model's two access patterns,
+/// so it times those patterns alone, not an engine run with its own
+/// planning and kernel-tier choice.  Routing it through transposer<T>
+/// would also instantiate the engines here with this TU's live
+/// failpoints, a body that differs (ODR) from failpoint-off TUs'.
 double probe_sweep_ratio() {
   constexpr std::size_t rows = 4096;
   constexpr std::size_t cols = 8;

@@ -175,10 +175,8 @@ void bench_report::note(const std::string& key, json::value v) {
   meta_.set(key, std::move(v));
 }
 
-void bench_report::attach_telemetry(const telemetry::collector& coll,
-                                    bool instrumented) {
+void bench_report::attach_telemetry(const telemetry::collector& coll) {
   json::value tel = json::object{};
-  tel.set("instrumented", instrumented);
   tel.set("spans_seen", static_cast<double>(coll.spans_seen()));
   tel.set("plans_seen", static_cast<double>(coll.plans_seen()));
   tel.set("plans_truncated", coll.plans_truncated());

@@ -77,11 +77,8 @@ class bench_report {
   void note(const std::string& key, json::value v);
 
   /// Snapshots per-stage totals, raw spans and plan decisions out of a
-  /// telemetry collector into the report.  `instrumented` says whether the
-  /// calling translation unit was compiled with INPLACE_TELEMETRY — pass
-  /// INPLACE_TELEMETRY_ENABLED != 0 (the collector exists either way, it
-  /// just stays empty in uninstrumented builds).
-  void attach_telemetry(const telemetry::collector& coll, bool instrumented);
+  /// telemetry collector into the report.
+  void attach_telemetry(const telemetry::collector& coll);
 
   [[nodiscard]] const std::string& artifact() const { return artifact_; }
   [[nodiscard]] std::string default_path() const {

@@ -1,6 +1,6 @@
-// Failure-semantics suite (this TU compiles with INPLACE_FAILPOINTS and
-// INPLACE_TELEMETRY): the fault-injection registry itself, stage-boundary
-// rollback across every engine and direction, the OOM degradation ladder
+// Failure-semantics suite (this TU compiles with INPLACE_FAILPOINTS):
+// the fault-injection registry itself, stage-boundary rollback across
+// every engine and direction, the OOM degradation ladder
 // (full -> reduced -> cycle_follow), and the async lifecycle guarantees of
 // transpose_context — every future settles, queued jobs fail
 // deterministically on shutdown/cancel, worker faults never lose a job.
@@ -85,8 +85,15 @@ void expect_transposed(const std::vector<T>& got, const std::vector<T>& src,
 
 // --- the failpoint registry --------------------------------------------------
 
+// The registry tests scope their "nothing armed" checks to the names they
+// arm themselves (and the global gate to its state at entry), so they hold
+// in an env-armed fault pass that keeps other failpoints armed throughout.
+// The entry state is read after a registry call, since the registry parses
+// INPLACE_FAILPOINTS on first use.
+
 TEST(Failpoint, ArmFireDisarmAndRetiredCounters) {
-  EXPECT_FALSE(fp::any_armed());
+  EXPECT_FALSE(fp::disarm("t.unit"));  // not armed before this test
+  const bool armed_before = fp::any_armed();
   fp::arm("t.unit");
   EXPECT_TRUE(fp::any_armed());
   EXPECT_THROW(fp::trigger("t.unit"), fp::injected_fault);
@@ -96,7 +103,7 @@ TEST(Failpoint, ArmFireDisarmAndRetiredCounters) {
   EXPECT_NO_THROW(fp::trigger("t.other"));
   EXPECT_TRUE(fp::disarm("t.unit"));
   EXPECT_FALSE(fp::disarm("t.unit"));
-  EXPECT_FALSE(fp::any_armed());
+  EXPECT_EQ(fp::any_armed(), armed_before);
   EXPECT_NO_THROW(fp::trigger("t.unit"));
   // Counters survive disarm (the retired table) so scoped_trigger tests
   // can assert after the scope closes.
@@ -130,6 +137,8 @@ TEST(Failpoint, OomModeThrowsBadAllocAndCountModeNeverThrows) {
 }
 
 TEST(Failpoint, EnvArmsReloadsAndRejectsMalformedEntries) {
+  EXPECT_FALSE(fp::disarm("t.env"));  // not armed before this test
+  const bool armed_before = fp::any_armed();
   {
     const env_guard guard("INPLACE_FAILPOINTS",
                           "t.env:count:1,t.bad:explode,:fault");
@@ -144,7 +153,8 @@ TEST(Failpoint, EnvArmsReloadsAndRejectsMalformedEntries) {
     EXPECT_EQ(fp::hits("t.bad"), 0u);
   }
   // env_guard restored + reloaded: the env arm is gone.
-  EXPECT_FALSE(fp::any_armed());
+  EXPECT_FALSE(fp::disarm("t.env"));
+  EXPECT_EQ(fp::any_armed(), armed_before);
   EXPECT_NO_THROW(fp::trigger("t.env"));
   EXPECT_EQ(fp::hits("t.env"), 2u);  // retired counters persist
 }

@@ -9,7 +9,7 @@ namespace fixture {
 template <typename T>
 void engine_pass_with_own_boundary(T* a) {
   {
-    INPLACE_TELEMETRY_SPAN(span_row, telemetry::stage::row_shuffle, 0, 0);  // EXPECT-LINT: stage-pairing
+    const telemetry::span span_row{telemetry::stage::row_shuffle, 0, 0};  // EXPECT-LINT: stage-pairing
     a[0] = a[0];
   }
   INPLACE_FAILPOINT("fixture.after_row_shuffle");  // EXPECT-LINT: stage-pairing

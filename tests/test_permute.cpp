@@ -145,14 +145,16 @@ TEST(PermPlan, FingerprintSeparatesContentOfOneLength) {
 
 TEST(PermPlan, RejectsOutOfRangeAndNegativeEntries) {
   std::vector<std::uint32_t> high = {0, 1, 7};
-  EXPECT_THROW(make_perm_plan<std::uint32_t>(high, false, options{}, 4),
-               error);
+  EXPECT_THROW(
+      (void)make_perm_plan<std::uint32_t>(high, false, options{}, 4), error);
   std::vector<std::int32_t> negative = {0, -1, 2};
-  EXPECT_THROW(make_perm_plan<std::int32_t>(negative, false, options{}, 4),
-               error);
+  EXPECT_THROW(
+      (void)make_perm_plan<std::int32_t>(negative, false, options{}, 4),
+      error);
   // n = 1 is degenerate but still validated.
   std::vector<std::int32_t> tiny = {5};
-  EXPECT_THROW(make_perm_plan<std::int32_t>(tiny, false, options{}, 4), error);
+  EXPECT_THROW((void)make_perm_plan<std::int32_t>(tiny, false, options{}, 4),
+               error);
 }
 
 // --- executors vs the reference ---------------------------------------------
