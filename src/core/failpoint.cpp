@@ -31,7 +31,14 @@ struct registry {
   std::unordered_map<std::string, entry> retired INPLACE_GUARDED_BY(mu);
 };
 
-std::atomic<std::uint64_t> armed_count{0};
+/// Added to armed_count until the first registry use has parsed
+/// INPLACE_FAILPOINTS.  A site reached before any registry call then
+/// finds the gate open, and trigger() parses the environment before it
+/// looks the name up, so an env-armed first site fires.
+constexpr std::uint64_t env_unread = std::uint64_t{1} << 63;
+
+/// Armed entries, plus env_unread before the environment is parsed.
+std::atomic<std::uint64_t> armed_count{env_unread};
 
 registry& reg() {
   static registry* r = [] {
@@ -141,6 +148,7 @@ registry& env_initialized_reg() {
     registry& inner = reg();
     util::mutex_guard lock(inner.mu);
     reload_env_locked(inner);
+    armed_count.fetch_sub(env_unread, std::memory_order_relaxed);
     return inner;
   }();
   return r;

@@ -63,8 +63,11 @@ void disarm_all();
 /// Times `name` actually fired (threw) while armed.
 [[nodiscard]] std::uint64_t fires(const char* name);
 
-/// True when at least one failpoint is armed.  This is the whole runtime
-/// cost of an instrumented site in the common case.
+/// True when at least one failpoint is armed, or when no registry call
+/// has parsed INPLACE_FAILPOINTS yet (the first site to run then parses
+/// it in trigger(), so an env-armed site fires even as the process's
+/// first).  This is the whole runtime cost of an instrumented site in
+/// the common case.
 [[nodiscard]] bool any_armed() noexcept;
 
 /// Evaluates the failpoint `name`: counts the traversal and throws per

@@ -26,9 +26,7 @@ struct series_spec {
 
 json::value make_report(const std::string& artifact,
                         const std::vector<series_spec>& series) {
-  json::object doc;
-  doc.emplace_back("schema", bench_schema);
-  doc.emplace_back("artifact", artifact);
+  json::object doc{{"schema", bench_schema}, {"artifact", artifact}};
   json::array arr;
   for (const auto& spec : series) {
     json::object s;

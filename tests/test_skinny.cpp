@@ -370,4 +370,164 @@ TEST(SkinnyParallel, MemoWithMoreSegmentsThanSavedRowsIsRefused) {
   EXPECT_EQ(buf, before);
 }
 
+// --- the fused passes' per-residue tables -----------------------------------
+//
+// Every row of the fused row passes that reads no boundary window gathers
+// through the table row for its residue i mod n (skinny_scatter_table /
+// skinny_gather_table in ws.index); the rows next to a window keep the
+// stepper.  These cases pin both kinds of row, on every team size, to the
+// reference engine and, pass by pass, to Eqs. 23-24 in closed form.
+
+TEST(SkinnyResidueTable, TeamsMatchTheReferenceEngine) {
+  options skinny;
+  skinny.engine = engine_kind::skinny;
+  skinny.tile = options::tile_mode::off;
+  // m not a multiple of 3 or 4 (rows_with_gcd), so the slabs differ.
+  check_teams<float>(rows_with_gcd(7, sizeof(float), 1), 7, skinny,
+                     "c = 1");
+  check_teams<float>(rows_with_gcd(12, sizeof(float), 4), 12, skinny,
+                     "1 < c < n");
+  check_teams<double>(rows_with_gcd(6, sizeof(double), 6), 6, skinny,
+                      "c = n, b = 1");
+  check_teams<std::uint8_t>(rows_with_gcd(24, 1, 3), 24, skinny,
+                            "u8, indexed loop");
+  check_teams<std::uint16_t>(rows_with_gcd(10, 2, 10), 10, skinny,
+                             "u16, c = n, indexed loop");
+}
+
+TEST(SkinnyResidueTable, TilePlansMatchTheReferenceEngine) {
+  // The chunk grid: W-lane chunks are wider than a gather lane, so its
+  // table rows take the indexed loop.
+  options skinny;
+  skinny.engine = engine_kind::skinny;
+  std::vector<float> probe(1);
+  const transpose_plan p32 = make_directed_plan(
+      probe.data(), 16 * 1024, 8, direction::c2r, skinny, sizeof(float));
+  const transpose_plan p64 = make_directed_plan(
+      probe.data(), 16 * 1024, 8, direction::c2r, skinny, sizeof(double));
+  if (p32.tile_block == 0 || p64.tile_block == 0) {
+    GTEST_SKIP() << "the resolved kernel tier has no in-register tile pass";
+  }
+  const std::uint64_t w32 = p32.tile_block;
+  const std::uint64_t w64 = p64.tile_block;
+  // An odd chunk count: c = 1 on the chunk grid.
+  const std::uint64_t m32 =
+      (rows_over_floor(8, sizeof(float), w32, 0) / w32 | 1) * w32;
+  // A chunk count of 4 mod 8: c = 4 on the chunk grid.
+  const std::uint64_t m64 =
+      (rows_over_floor(8, sizeof(double), w64, 0) / w64 / 8 * 8 + 12) * w64;
+  check_teams<float>(m32, 8, skinny, "tile f32 x 8");
+  check_teams<double>(m64, 8, skinny, "tile f64 x 8, c = 4");
+}
+
+/// Eqs. 23-24 applied out of place: C2R's fused pass sends
+/// A[(i + ⌊j/b⌋) mod m][j] to row i, column d'_i(j); R2C's is its
+/// inverse, row i, column j <- A[s][d'_s(j)] with s = (i - ⌊j/b⌋) mod m.
+template <typename T>
+std::vector<T> fused_closed_form(const std::vector<T>& src, std::uint64_t m,
+                                 std::uint64_t n, bool c2r) {
+  const transpose_math<fast_divmod> mm(m, n);
+  std::vector<T> out(src.size());
+  for (std::uint64_t i = 0; i < m; ++i) {
+    for (std::uint64_t j = 0; j < n; ++j) {
+      const std::uint64_t rot = mm.prerotate_offset(j);
+      if (c2r) {
+        out[i * n + mm.d_prime(i, j)] = src[((i + rot) % m) * n + j];
+      } else {
+        const std::uint64_t s = (i + m - rot) % m;
+        out[i * n + j] = src[s * n + mm.d_prime(s, j)];
+      }
+    }
+  }
+  return out;
+}
+
+/// Runs one fused pass directly on a workspace with `slots` team slots,
+/// whatever the team floor, under a team of `team` threads.
+template <typename T>
+std::vector<T> fused_pass_on(const std::vector<T>& src, std::uint64_t m,
+                             std::uint64_t n, bool c2r, std::uint64_t slots,
+                             int team, const kernels::kernel_set* ks) {
+  util::thread_count_guard guard(team);
+  const transpose_math<fast_divmod> mm(m, n);
+  detail::workspace<T> ws;
+  detail::reserve_skinny(ws, m, n, 1);
+  ws.team.resize((slots - 1) * detail::skinny_slot_stride<T>(n));
+  auto buf = src;
+  if (c2r) {
+    detail::skinny_fused_scatter(buf.data(), mm, ws, ks, false);
+  } else {
+    detail::skinny_fused_gather(buf.data(), mm, ws, ks, false);
+  }
+  return buf;
+}
+
+template <typename T>
+void check_short_slabs(std::uint64_t m, std::uint64_t n) {
+  SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n) + ", " +
+               std::to_string(sizeof(T)) + "-byte elements");
+  const auto src = util::iota_matrix<T>(m, n);
+  const kernels::kernel_set& native =
+      kernels::set_for(kernels::native_tier());
+  for (const bool c2r : {true, false}) {
+    SCOPED_TRACE(c2r ? "fused scatter" : "fused gather");
+    const std::vector<T> want = fused_closed_form(src, m, n, c2r);
+    const kernels::kernel_set* const sets[] = {&native, nullptr};
+    for (const kernels::kernel_set* ks : sets) {
+      for (int team = 1; team <= 4; ++team) {
+        SCOPED_TRACE("team " + std::to_string(team) +
+                     (ks == nullptr ? ", untuned" : ", kernel set"));
+        const std::vector<T> got = fused_pass_on(src, m, n, c2r, 4, team, ks);
+        ASSERT_EQ(util::first_mismatch(std::span<const T>(got),
+                                       std::span<const T>(want)),
+                  -1);
+      }
+    }
+  }
+}
+
+TEST(SkinnyResidueTable, ShortSlabsMatchTheClosedForm) {
+  // skinny_team keeps every slab at least n rows long, so the shortest
+  // slabs are n to 2n - 1 rows: with c = n a slab of n rows has a single
+  // table row and n - 1 window rows, and no slab sees every residue.
+  // Four slots bypass the team floor, which these small shapes sit under.
+  check_short_slabs<float>(4 * 7, 7);             // c = n, slabs of n
+  check_short_slabs<float>(4 * 7 + 3, 7);         // c = 1, m % 4 != 0
+  check_short_slabs<double>(4 * 12 + 6, 12);      // c = 6
+  check_short_slabs<float>(5 * 12 + 8, 12);       // c = 4, slabs of 17
+  check_short_slabs<std::uint8_t>(4 * 9 + 3, 9);  // c = 3, bytes
+  check_short_slabs<std::uint16_t>(3 * 5 + 1, 5); // c = 1, shorts
+  check_short_slabs<float>(33, 32);               // one slab, m = n + 1
+}
+
+TEST(SkinnyResidueTable, RefillingTheTablesKeepsTheCachedBytes) {
+  // The tables live in ws.index, which reserve_skinny sized to n x n: a
+  // second fill (a second execution, either direction) grows nothing.
+  const std::uint64_t n = 12;
+  const std::uint64_t m = rows_with_gcd(n, sizeof(float), 4);
+  options skinny;
+  skinny.engine = engine_kind::skinny;
+  skinny.tile = options::tile_mode::off;
+  for (const direction dir : {direction::c2r, direction::r2c}) {
+    auto buf = util::iota_matrix<float>(m, n);
+    transposer<float> tr(
+        make_directed_plan(buf.data(), m, n, dir, skinny, sizeof(float)));
+    tr(buf.data());
+    const std::size_t cached = tr.cached_bytes();
+    tr(buf.data());
+    EXPECT_EQ(tr.cached_bytes(), cached);
+  }
+  const transpose_math<fast_divmod> mm(m, n);
+  detail::workspace<float> ws;
+  detail::reserve_skinny(ws, m, n);
+  const std::size_t bytes = ws.bytes();
+  const std::uint64_t* table = ws.index.data();
+  auto buf = util::iota_matrix<float>(m, n);
+  detail::skinny_fused_scatter(buf.data(), mm, ws, nullptr, false);
+  detail::skinny_fused_gather(buf.data(), mm, ws, nullptr, false);
+  EXPECT_EQ(ws.bytes(), bytes);
+  EXPECT_EQ(ws.index.data(), table);
+  EXPECT_EQ(buf, util::iota_matrix<float>(m, n));
+}
+
 }  // namespace

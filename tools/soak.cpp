@@ -31,8 +31,8 @@
 //   * clean shutdown (every future settled; destructor joins workers).
 //
 // Fault passes: arm the existing failpoints via the environment, e.g.
-//   INPLACE_FAILPOINTS="ctx.worker.job:fault:997:1" tools/soak \
-//       --requests 100000 --expect-failpoints
+//   export INPLACE_FAILPOINTS="ctx.worker.job:fault:997:1"
+//   tools/soak --requests 100000 --expect-failpoints
 // --expect-failpoints asserts at least one ctx.* failpoint actually
 // fired, so a misspelled arm cannot silently produce a vacuous pass.
 
