@@ -112,7 +112,7 @@ struct workspace {
   std::vector<std::uint64_t> offsets;       ///< per-column residual shifts
   util::aligned_vector<std::uint64_t> index;  ///< kernel gather offsets
   util::aligned_vector<T> team;   ///< skinny: threads 1.. row + window
-  util::aligned_vector<T> saved;  ///< skinny: q segment-start rows
+  util::aligned_vector<T> saved;  ///< skinny: q segment starts, chunk buffers
 
   void reserve(std::uint64_t m, std::uint64_t n, std::uint64_t width) {
     // inplace-lint: allow-block(raw-alloc): this IS the audited scratch
@@ -156,14 +156,16 @@ struct workspace {
 };
 
 /// Distinguishes which pass family discovered a memo: the same (m, n,
-/// width) tuple produces different cycle structures for q vs q^-1 and for
-/// the fused C2R vs R2C column shuffles, so the pass identity is part of
-/// the fingerprint.
+/// width) tuple produces different cycle structures for q vs q^-1, for
+/// the fused C2R vs R2C column shuffles and for the skinny chunk-grid
+/// walks, so the pass identity is part of the fingerprint.
 enum class memo_pass : std::uint64_t {
   row_q = 1,
   row_q_inv = 2,
   col_c2r = 3,
   col_r2c = 4,
+  chunk_q = 5,
+  chunk_q_inv = 6,
 };
 
 /// Folds the identifying tuple of a memoized cycle structure into one

@@ -13,13 +13,15 @@
 // bug cannot hide behind a compensating bug in engine code.
 //
 // For the skinny shapes it also proves the engine's parallel schedules and
-// index tables: the segment split of q / q^-1 (check_segments) and the
-// fused row passes' per-residue gather tables (check_residue_tables).
+// index tables: the segment split of q / q^-1 (check_segments), the
+// fused row passes' per-residue gather tables (check_residue_tables), and
+// the chunked form of the passes with its prefix spread (check_chunks).
 //
 // Fault injection (`fault`) deliberately plants one of the bug classes the
 // verifier exists to catch (off-by-one wrap handling, a flipped inverse
 // branch, a drifted static permutation, a mis-rounded reciprocal, a
-// residue table looked up one row off).  The
+// residue table looked up one row off, a chunk factorization without its
+// row reversal).  The
 // permcheck tool's --seed-bug mode and the unit tests use it to prove the
 // harness fails loudly instead of vacuously passing.
 
@@ -48,6 +50,7 @@ enum class fault : int {
   column_shuffle_drift,  ///< Eq. 33: q(i) drifted by +1
   fastdiv_magic,         ///< reciprocal computed without the +1 rounding
   residue_off_by_one,    ///< skinny row i gathers via residue (i+1) mod n
+  chunk_reversal,        ///< skinny chunk row x takes row yb n + x, not n-1-x
 };
 
 /// Outcome of a verification sweep.
@@ -632,11 +635,146 @@ bool check_residue_tables(const Math& mm, fault f, report& rep) {
   return true;
 }
 
+/// Proves, for one skinny shape, the chunked form of the skinny passes
+/// (cpu/skinny.hpp, DESIGN §17) for chunks of B = 1, 2, 3 rows wherever
+/// n B <= m (the engine derives B from the element size, so small shapes
+/// stand in for its page-sized chunks), with m' = n B ⌊m / (n B)⌋:
+///   1. on the m' x n prefix, Eq. 33's q shifted by n - 1 factors as
+///      q(i) + n - 1 ≡ Y B n + chunk_source_row(n, x, yb) (mod m') for
+///      i = x a' + Y B + yb (a' = m' / n), chunk_target_row inverts the
+///      row map, and chunk x K + Y of the result takes chunk Y n + x
+///      (chunk_grid_source, inverted by chunk_grid_source_inv);
+///   2. the engine's spread (chunk_spread) sends the prefix's n x m'
+///      result and the s tail structures to the n x m result, and its
+///      gather inverts it;
+///   3. the engine's chunked C2R passes — the fused pass on the prefix,
+///      chunk_rotate, chunk_permute — send slot labels to the out-of-place
+///      AoS -> SoA transposition, and its R2C passes bring them back.
+/// (2) and (3) run the engine's code on one slab and on three.  With
+/// fault::chunk_reversal, (1) takes row yb n + x: the n - 1 - x reversal
+/// dropped.
+template <typename Math>
+bool check_chunks(const Math& mm, fault f, report& rep) {
+  namespace ipd = inplace::detail;
+  const std::uint64_t m = mm.m;
+  const std::uint64_t n = mm.n;
+  using label = std::uint64_t;
+  std::vector<label> a(m * n);
+  const transpose_math<fast_divmod> full(m, n);
+  for (std::uint64_t rows = 1; rows <= 3 && n * rows <= m; ++rows) {
+    const ipd::chunk_layout cl = ipd::make_chunk_layout(m, n, rows);
+    const std::uint64_t k = cl.chunks;
+    const std::uint64_t mp = cl.prefix;
+    const std::string tag = detail::shape_tag(m, n) + ", chunks of " +
+                            std::to_string(rows) + " rows";
+    const auto fail = [&](const std::string& what) {
+      rep.fail(tag + ": " + what);
+      return false;
+    };
+
+    // 1. The factorization on the prefix.
+    const transpose_math<fast_divmod> pm(mp, n);
+    const std::uint64_t ap = mp / n;
+    for (std::uint64_t i = 0; i < mp; ++i) {
+      const std::uint64_t x = i / ap;
+      const std::uint64_t y = i % ap / rows;
+      const std::uint64_t yb = i % rows;
+      const std::uint64_t src = f == fault::chunk_reversal
+                                    ? yb * n + x
+                                    : ipd::chunk_source_row(n, x, yb);
+      rep.checks += 3;
+      if ((pm.q(i) + n - 1) % mp != y * rows * n + src) {
+        return fail("Eq. 33's q + (n - 1) at row " + std::to_string(i) +
+                    " is not chunk " + std::to_string(y) + "'s row " +
+                    std::to_string(src));
+      }
+      if (ipd::chunk_target_row(n, rows, src) != x * rows + yb) {
+        return fail("chunk_target_row does not invert chunk_source_row at "
+                    "row " + std::to_string(i));
+      }
+      const std::uint64_t c = x * k + y;
+      if (ipd::chunk_grid_source(k, n, c) != y * n + x ||
+          ipd::chunk_grid_source_inv(k, n, y * n + x) != c) {
+        return fail("the chunk grid walk misplaces chunk " +
+                    std::to_string(c));
+      }
+    }
+
+    for (const std::uint64_t slots : {1, 3}) {
+      ipd::workspace<label> ws;
+      ipd::reserve_skinny_as(ws, m, n, slots, cl);
+      const std::uint64_t team = ipd::chunk_team(ws, m, n, cl);
+      const std::uint64_t slabs = ipd::spread_team(ws, n, cl, team);
+      const std::string on = ", " + std::to_string(slots) + " slot(s)";
+
+      // 2. Spread and gather on their own.
+      for (std::uint64_t l = 0; l < m * n; ++l) {
+        a[l] = l;
+      }
+      ipd::chunk_spread(a.data(), m, n, cl, ws, slabs, /*c2r=*/true);
+      for (std::uint64_t fld = 0; fld < n; ++fld) {
+        for (std::uint64_t i = 0; i < m; ++i) {
+          rep.checks += 1;
+          const label want =
+              i < mp ? fld * mp + i : mp * n + (i - mp) * n + fld;
+          if (a[fld * m + i] != want) {
+            return fail("the spread puts label " +
+                        std::to_string(a[fld * m + i]) + " at field " +
+                        std::to_string(fld) + ", row " + std::to_string(i) +
+                        on);
+          }
+        }
+      }
+      ipd::chunk_spread(a.data(), m, n, cl, ws, slabs, /*c2r=*/false);
+      for (std::uint64_t l = 0; l < m * n; ++l) {
+        rep.checks += 1;
+        if (a[l] != l) {
+          return fail("the gather does not invert the spread at slot " +
+                      std::to_string(l) + on);
+        }
+      }
+
+      // 3. The chunked passes, C2R then R2C.
+      ipd::no_block_transform block;
+      ipd::skinny_fused_scatter_as(a.data(), full, cl, ws, nullptr, false,
+                                   block);
+      ipd::chunk_rotate(a.data(), m, n, cl, ws, nullptr, false, true);
+      ipd::chunk_permute(a.data(), m, n, cl, ws, nullptr, nullptr, false,
+                         true);
+      for (std::uint64_t fld = 0; fld < n; ++fld) {
+        for (std::uint64_t i = 0; i < m; ++i) {
+          rep.checks += 1;
+          if (a[fld * m + i] != i * n + fld) {
+            return fail("the chunked C2R passes put label " +
+                        std::to_string(a[fld * m + i]) + " at field " +
+                        std::to_string(fld) + ", row " + std::to_string(i) +
+                        ", not AoS -> SoA's " + std::to_string(i * n + fld) +
+                        on);
+          }
+        }
+      }
+      ipd::chunk_permute(a.data(), m, n, cl, ws, nullptr, nullptr, false,
+                         false);
+      ipd::chunk_rotate(a.data(), m, n, cl, ws, nullptr, false, false);
+      ipd::skinny_fused_gather_as(a.data(), full, cl, ws, nullptr, false,
+                                  block);
+      for (std::uint64_t l = 0; l < m * n; ++l) {
+        rep.checks += 1;
+        if (a[l] != l) {
+          return fail("the chunked R2C passes do not invert C2R at slot " +
+                      std::to_string(l) + on);
+        }
+      }
+    }
+  }
+  return true;
+}
+
 /// The skinny-engine proofs for a shape the skinny engine runs
 /// (n <= skinny_col_limit, m > n) whose algebra check_shape already
 /// proved (`proven`): check_segments over a few segment lengths, short
-/// enough that the small shapes of a sweep split their cycles too, and
-/// check_residue_tables.
+/// enough that the small shapes of a sweep split their cycles too,
+/// check_residue_tables, and check_chunks.
 template <typename Math>
 void check_skinny(const Math& mm, bool proven, fault f, report& rep) {
   if (!proven || mm.n > skinny_col_limit || mm.m <= mm.n) {
@@ -647,7 +785,9 @@ void check_skinny(const Math& mm, bool proven, fault f, report& rep) {
       return;
     }
   }
-  check_residue_tables(mm, f, rep);
+  if (check_residue_tables(mm, f, rep)) {
+    check_chunks(mm, f, rep);
+  }
 }
 
 /// Sweep configuration for run_sweep / the permcheck tool.

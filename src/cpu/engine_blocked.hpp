@@ -114,15 +114,12 @@ void rotate_all_parallel(T* a, std::uint64_t m, std::uint64_t n,
   }
   const auto groups =
       static_cast<std::int64_t>((n + width - 1) / width);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 4)
-#endif
-  for (std::int64_t g = 0; g < groups; ++g) {
+  util::parallel_for(groups, 4, [&](std::int64_t g) {
     const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
     const std::uint64_t w = std::min(width, n - j0);
     rotate_group_cache_aware(a, m, n, j0, w, amount, pool.local(), ks,
                              stream);
-  }
+  });
 }
 
 /// Parallel row shuffle: each row gathers through its own scratch line.
@@ -130,14 +127,11 @@ template <typename T, typename IndexFn>
 void shuffle_rows_parallel(T* a, std::uint64_t m, std::uint64_t n,
                            IndexFn idx, workspace_pool<T>& pool) {
   const auto rows = static_cast<std::int64_t>(m);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 8)
-#endif
-  for (std::int64_t ii = 0; ii < rows; ++ii) {
+  util::parallel_for(rows, 8, [&](std::int64_t ii) {
     const auto i = static_cast<std::uint64_t>(ii);
     row_gather_inplace(a + i * n, n, pool.local().line.data(),
                        [&](std::uint64_t j) { return idx(i, j); });
-  }
+  });
 }
 
 /// Parallel row shuffle, scatter form.  The scratch line is cache
@@ -148,14 +142,11 @@ template <typename T, typename IndexFn>
 void shuffle_rows_scatter_parallel(T* a, std::uint64_t m, std::uint64_t n,
                                    IndexFn idx, workspace_pool<T>& pool) {
   const auto rows = static_cast<std::int64_t>(m);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 8)
-#endif
-  for (std::int64_t ii = 0; ii < rows; ++ii) {
+  util::parallel_for(rows, 8, [&](std::int64_t ii) {
     const auto i = static_cast<std::uint64_t>(ii);
     row_scatter_inplace(a + i * n, n, pool.local().line.data(),
                         [&](std::uint64_t j) { return idx(i, j); });
-  }
+  });
 }
 
 /// Whether the kernel layer should run row i's d' shuffle, and the
@@ -254,10 +245,7 @@ void c2r_row_pass(T* a, const Math& mm, workspace_pool<T>& pool,
   const auto rows = static_cast<std::int64_t>(mm.m);
   const std::uint64_t n = mm.n;
   [[maybe_unused]] const bool use_kernels = row_pass_use_kernels<T>(mm, ks);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 8)
-#endif
-  for (std::int64_t ii = 0; ii < rows; ++ii) {
+  util::parallel_for(rows, 8, [&](std::int64_t ii) {
     const auto i = static_cast<std::uint64_t>(ii);
     T* row = a + i * n;
     T* tmp = pool.local().line.data();
@@ -268,7 +256,7 @@ void c2r_row_pass(T* a, const Math& mm, workspace_pool<T>& pool,
 #endif
         row_pass_kernel_row</*Scatter=*/true>(row, tmp, mm, i, *ks);
         copy_back(row, tmp, n, ks, stream);
-        continue;
+        return;
       }
     }
     d_prime_stepper step(mm, i);
@@ -276,7 +264,7 @@ void c2r_row_pass(T* a, const Math& mm, workspace_pool<T>& pool,
       tmp[step.value()] = row[j];
     }
     copy_back(row, tmp, n, ks, stream);
-  }
+  });
 }
 
 /// Parallel R2C row shuffle (gather form, Section 4.3) with the
@@ -289,10 +277,7 @@ void r2c_row_pass(T* a, const Math& mm, workspace_pool<T>& pool,
   const auto rows = static_cast<std::int64_t>(mm.m);
   const std::uint64_t n = mm.n;
   [[maybe_unused]] const bool use_kernels = row_pass_use_kernels<T>(mm, ks);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 8)
-#endif
-  for (std::int64_t ii = 0; ii < rows; ++ii) {
+  util::parallel_for(rows, 8, [&](std::int64_t ii) {
     const auto i = static_cast<std::uint64_t>(ii);
     T* row = a + i * n;
     T* tmp = pool.local().line.data();
@@ -303,7 +288,7 @@ void r2c_row_pass(T* a, const Math& mm, workspace_pool<T>& pool,
 #endif
         row_pass_kernel_row</*Scatter=*/false>(row, tmp, mm, i, *ks);
         copy_back(row, tmp, n, ks, stream);
-        continue;
+        return;
       }
     }
     d_prime_stepper step(mm, i);
@@ -311,7 +296,7 @@ void r2c_row_pass(T* a, const Math& mm, workspace_pool<T>& pool,
       tmp[j] = row[step.value()];
     }
     copy_back(row, tmp, n, ks, stream);
-  }
+  });
 }
 
 /// The column-shuffle memo's per-group slots for `groups` groups (null
@@ -358,10 +343,7 @@ void c2r_col_shuffle(T* a, const Math& mm, std::uint64_t width,
   const std::uint64_t groups = (n + width - 1) / width;
   const std::uint64_t key = memo_fingerprint(m, n, width, memo_pass::col_c2r);
   cycle_memo* slots = col_memo_slots(memo, groups, key);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 4)
-#endif
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(groups); ++g) {
+  util::parallel_for(static_cast<std::int64_t>(groups), 4, [&](std::int64_t g) {
     workspace<T>& ws = pool.local();
     const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
     const std::uint64_t w = std::min(width, n - j0);
@@ -378,7 +360,7 @@ void c2r_col_shuffle(T* a, const Math& mm, std::uint64_t width,
     permute_row_group(a, m, n, j0, w, perm,
                       slots != nullptr ? slots + g : nullptr, key, ws,
                       ws.subrow.data(), ks, stream);
-  }
+  });
 }
 
 /// Fused inverse column shuffle for R2C: per group, cycle-following with
@@ -395,10 +377,7 @@ void r2c_col_shuffle(T* a, const Math& mm, std::uint64_t width,
   const std::uint64_t groups = (n + width - 1) / width;
   const std::uint64_t key = memo_fingerprint(m, n, width, memo_pass::col_r2c);
   cycle_memo* slots = col_memo_slots(memo, groups, key);
-#if defined(INPLACE_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 4)
-#endif
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(groups); ++g) {
+  util::parallel_for(static_cast<std::int64_t>(groups), 4, [&](std::int64_t g) {
     workspace<T>& ws = pool.local();
     const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
     const std::uint64_t w = std::min(width, n - j0);
@@ -416,7 +395,7 @@ void r2c_col_shuffle(T* a, const Math& mm, std::uint64_t width,
     }
     fine_rotate_group(a, m, n, j0, w, ws.offsets.data(), ws.head.data(), ks,
                       ws.index.data(), stream);
-  }
+  });
 }
 
 /// Whether the blocked engine's group-local passes (the pre-rotation and

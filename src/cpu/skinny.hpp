@@ -6,7 +6,9 @@
 // every pass streams whole rows — the CPU analogue of the paper's "perform
 // all column operations in on-chip memory".
 //
-// C2R runs in three streaming passes (6 element touches, Theorem 6):
+// Below the chunk threshold (m < n B rows, B the fewest rows spanning
+// skinny_chunk_bytes, or under skinny_chunk_floor_bytes) C2R runs in
+// three streaming passes (6 element touches, Theorem 6):
 //   1. pre-rotation fused with the row shuffle: one top-down sweep with a
 //      (c-1)-row head buffer absorbing the wrap-around reads; every row
 //      that reads no buffered row is one indexed gather from a table
@@ -16,17 +18,35 @@
 // R2C is the mirror image: q^-1, then p^-1 as one bottom-up sweep, then
 // the fused pass sweeping bottom-up.
 //
+// From the threshold up the passes keep their names and inverses but run
+// the chunked form (DESIGN §17) on the m' = n B ⌊m / (n B)⌋-row prefix,
+// where n | m' (c = n, b = 1); the s = m - m' tail structures wait in the
+// buffer until pass 3:
+//   1. the fused pass on the prefix (tail rows only take the block hook),
+//   2. p with q's n - 1 row shift absorbed (residuals n - 1 - j), fused
+//      with a B x n -> n x B row transpose per block of B n rows: one
+//      bottom-up sweep staging each block in an in-cache buffer,
+//   3. one cycle walk over the K x n grid of B-row chunks (>= 4 KiB each,
+//      K = m' / (n B)), then the spread: each field f of the n x m'
+//      result moves right by f s, back to front, and the tail's fields
+//      fill the s-wide gaps.
+// That is 8 element touches instead of 6 (a Theorem 6 deviation, DESIGN
+// §17): the row walk moved one 28-512 byte row per hop at ~0.1 of a copy,
+// the chunk walk moves pages.  R2C mirrors it: gather the tail and close
+// the gaps front to back, walk q^-1's chunks, un-transpose each block
+// fused with p^-1 top-down, then the fused pass on the prefix.
+//
 // Every pass runs on the active OpenMP team (Sections 3-4: every row and
-// column operation is independent).  The sweeps split the m rows into one
-// contiguous slab per thread; before the team starts, each slab's
-// boundary window — the fewer than n rows past its end (top-down sweeps)
-// or before its start (bottom-up) that a neighbour overwrites — is saved
-// in that slab's scratch, so "wrap at m" becomes "wrap at the slab edge".
-// q and q^-1 walk their cycles in segments of at most skinny_segment_hops
-// hops: each segment's first row is saved before the team starts, and a
-// segment closes from its successor's saved row.  A team of one is the
-// same code on one slab; problems under skinny_team_floor_bytes() run so,
-// opening no parallel region.
+// column operation is independent).  The sweeps split the rows (or
+// blocks, or the spread's elements) into one contiguous slab per thread;
+// before the team starts, each slab's boundary window — what a neighbour
+// overwrites that the slab still reads — is saved in that slab's scratch,
+// so "wrap at m" becomes "wrap at the slab edge".  The cycle walks run in
+// segments of at most skinny_segment_hops hops: each segment's first row
+// (or chunk) is saved before the team starts, and a segment closes from
+// its successor's saved copy.  A team of one is the same code on one
+// slab; problems under skinny_team_floor_bytes() run so, opening no
+// parallel region.
 //
 // The fused passes' tables: by Eq. 24, d'_i(j) = ((i + ⌊j/b⌋) mod m +
 // jm) mod n depends on i only through i mod n on every row whose sources
@@ -35,15 +55,18 @@
 // the team starts, describe all of those rows.  The fewer than c rows per
 // slab next to its window keep the element-by-element index stepping.
 //
-// Each pass is a standalone helper and the R2C helpers are the exact
-// pass-wise inverses of the C2R helpers.  core/executor.hpp sequences
-// them as the skinny pass list, on the plan's team, and replays the
-// inverses of completed passes when an execution throws at a pass
-// boundary.  Nothing inside a team allocates or throws.
+// Each pass is a standalone helper that decides its path from (m, n,
+// sizeof(T)) alone, and the R2C helpers are the exact pass-wise inverses
+// of the C2R helpers.  core/executor.hpp sequences them as the skinny
+// pass list, on the plan's team, and replays the inverses of completed
+// passes when an execution throws at a pass boundary.  Nothing inside a
+// team allocates or throws.
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <type_traits>
 
 #include "core/equations.hpp"
 #include "core/permute.hpp"
@@ -139,15 +162,185 @@ template <typename T>
       1, std::min({active, skinny_slots(ws, n), m / n}));
 }
 
+// --- the chunked form (DESIGN §17) -------------------------------------------
+
+/// Bytes one chunk of the chunked q / q^-1 walk spans at least: every hop
+/// copies a page-sized run instead of one 28-512 byte row.
+inline constexpr std::uint64_t skinny_chunk_bytes = 4096;
+
+/// Widest walk row, in bytes, that takes the chunked form at every size
+/// (from n B rows up), and the matrix bytes from which wider rows take it
+/// too.  Measured as C2R + R2C round trips against the row walk on a
+/// 4-vCPU AVX-512 host (2 MiB L2, 300 MiB shared L3; EXPERIMENTS.md,
+/// "Skinny chunk walk: where it pays"): rows of 24-40 bytes gained
+/// 1.02-2.2x at every size from 32 KiB to 1.2 GiB, on one thread and on
+/// four; 48-64 byte rows lost up to 0.55x at 128 KiB; 128-192 byte rows
+/// and the tile plans' 512 byte chunk rows lost up to 0.68x in cache,
+/// broke even at 64 MiB and gained 1.03-1.45x from 128 MiB up.
+inline constexpr std::uint64_t skinny_chunk_row_bytes = 40;
+inline constexpr std::uint64_t skinny_chunk_floor_bytes = 128ull << 20;
+
+/// The chunked form of an m x n skinny problem: chunks of `rows` (B) rows,
+/// `chunks` (K) of them per field of the m' = n B K-row prefix, and
+/// `tail` (s = m - m') structures past it.  chunks == 0: the problem keeps
+/// the row walk.
+struct chunk_layout {
+  std::uint64_t rows = 0;    ///< B
+  std::uint64_t chunks = 0;  ///< K
+  std::uint64_t prefix = 0;  ///< m'
+  std::uint64_t tail = 0;    ///< s
+
+  [[nodiscard]] bool chunked() const { return chunks > 0; }
+};
+
+/// The layout of m x n with chunks of `rows` rows.
+[[nodiscard]] constexpr chunk_layout make_chunk_layout(std::uint64_t m,
+                                                       std::uint64_t n,
+                                                       std::uint64_t rows) {
+  const std::uint64_t k = m / (n * rows);
+  return {rows, k, n * rows * k, m - n * rows * k};
+}
+
+/// The layout the skinny passes run an m x n problem of T in: B is the
+/// fewest rows spanning skinny_chunk_bytes; problems under n B rows, and
+/// those with rows wider than skinny_chunk_row_bytes under
+/// skinny_chunk_floor_bytes, keep the row walk.
+template <typename T>
+[[nodiscard]] constexpr chunk_layout skinny_chunk_layout(std::uint64_t m,
+                                                         std::uint64_t n) {
+  const std::uint64_t row = n * sizeof(T);
+  const std::uint64_t rows = (skinny_chunk_bytes + row - 1) / row;
+  if (row > skinny_chunk_row_bytes && m * row < skinny_chunk_floor_bytes) {
+    return {rows, 0, 0, m};
+  }
+  return make_chunk_layout(m, n, rows);
+}
+
+/// Row x B + yb of a block's transposed layout holds row yb n + (n-1-x)
+/// of the block's shifted rows A' — Eq. 33's q plus n - 1 on the prefix,
+/// written with i = x a' + Y B + yb (a' = m' / n), restricted to one block
+/// of B n rows.  chunk_target_row inverts it.
+[[nodiscard]] constexpr std::uint64_t chunk_source_row(std::uint64_t n,
+                                                       std::uint64_t x,
+                                                       std::uint64_t yb) {
+  return yb * n + (n - 1 - x);
+}
+
+/// The transposed-layout row that holds A' row k of its block, k < B n.
+[[nodiscard]] constexpr std::uint64_t chunk_target_row(std::uint64_t n,
+                                                       std::uint64_t rows,
+                                                       std::uint64_t k) {
+  return (n - 1 - k % n) * rows + k / n;
+}
+
+/// The chunk walk's gather: chunk x K + Y of the prefix's result takes
+/// chunk Y n + x of the transposed blocks — a K x n -> n x K transpose of
+/// B-row chunks.  chunk_grid_source_inv is its inverse.
+[[nodiscard]] constexpr std::uint64_t chunk_grid_source(std::uint64_t k,
+                                                        std::uint64_t n,
+                                                        std::uint64_t i) {
+  return i % k * n + i / k;
+}
+
+[[nodiscard]] constexpr std::uint64_t chunk_grid_source_inv(std::uint64_t k,
+                                                            std::uint64_t n,
+                                                            std::uint64_t i) {
+  return i % n * k + i / n;
+}
+
+/// Elements of one slot's block buffer: a block of B n rows plus the n - 1
+/// rows next to it, rounded so the next buffer starts 64-byte aligned.
+template <typename T>
+[[nodiscard]] constexpr std::uint64_t chunk_buffer_stride(
+    std::uint64_t n, const chunk_layout& cl) {
+  return skinny_row_stride<T>((cl.rows * n + n - 1) * n);
+}
+
+/// Hops per segment of a split walk over `count` chunks:
+/// skinny_segment_hops, or a quarter of the grid where that is fewer, so a
+/// grid that one or two cycles cover still gives a team several items.
+[[nodiscard]] constexpr std::uint64_t chunk_segment_hops(
+    std::uint64_t count) {
+  return std::max<std::uint64_t>(1, std::min(skinny_segment_hops, count / 4));
+}
+
+/// Segment-start chunks a split walk over the K x n chunk grid can save.
+[[nodiscard]] constexpr std::uint64_t chunk_saved_chunks(
+    std::uint64_t n, const chunk_layout& cl) {
+  return max_splits(cl.chunks * n, chunk_segment_hops(cl.chunks * n));
+}
+
+/// ws.saved elements the chunked passes need with `slots` team slots:
+/// one block buffer per slot, then the segment-start chunks (passes 2 and
+/// 3's walk); or the s x n tail and one window of (n - 1) s elements per
+/// slab (the spread, after the walk) — never both at once.
+template <typename T>
+[[nodiscard]] constexpr std::uint64_t chunk_saved_elems(
+    std::uint64_t n, const chunk_layout& cl, std::uint64_t slots) {
+  const std::uint64_t walk = slots * chunk_buffer_stride<T>(n, cl) +
+                             chunk_saved_chunks(n, cl) * cl.rows * n;
+  const std::uint64_t spread = cl.tail * n + slots * (n - 1) * cl.tail;
+  return std::max(walk, spread);
+}
+
+/// Sizes a skinny workspace for an m x n problem on `slots` team slots in
+/// layout `cl`: a line of n (no scratch index reaches n), an n x n head,
+/// the visited map (m rows; a chunk walk uses K n < m), per-column offsets,
+/// the gather index (the fused passes' n x n per-residue tables; 2 n x n
+/// for the chunked rotation's), one more row + window per extra slot, the
+/// saved scratch (skinny_saved_rows(m) segment-start rows, or
+/// chunk_saved_elems), and the capacity of the memo-less split lists.
+/// Never Theorem 6's max(m, n) line: the skinny passes move whole rows,
+/// not columns.
+template <typename T>
+void reserve_skinny_as(workspace<T>& ws, std::uint64_t m, std::uint64_t n,
+                       std::uint64_t slots, const chunk_layout& cl) {
+  const bool chunked = cl.chunked();
+  const std::uint64_t splits =
+      chunked ? chunk_saved_chunks(n, cl) : skinny_saved_rows(m);
+  const std::uint64_t saved = chunked ? chunk_saved_elems<T>(n, cl, slots)
+                                      : skinny_saved_rows(m) * n;
+  const std::uint64_t tables = (chunked ? 2 : 1) * n * n;
+  // inplace-lint: allow-block(raw-alloc): acquisition-funnel entry — the
+  // skinny engine sizes its workspace here, once per plan, before any
+  // pass runs: the per-thread rows, windows and block buffers and the
+  // walk's segment starts included, so no pass (nor its rollback)
+  // allocates
+  ws.line.resize(static_cast<std::size_t>(n));
+  ws.head.resize(static_cast<std::size_t>(n * n));
+  ws.visited.allocate(m, scratch_rung::full);
+  ws.offsets.resize(static_cast<std::size_t>(n));
+  ws.index.resize(static_cast<std::size_t>(tables));
+  ws.team.resize(static_cast<std::size_t>((slots - 1) *
+                                          skinny_slot_stride<T>(n)));
+  ws.saved.resize(static_cast<std::size_t>(saved));
+  ws.cycles = cycle_memo{};
+  ws.cycles.splits.reserve(static_cast<std::size_t>(splits));
+  ws.cycles.split_ends.reserve(static_cast<std::size_t>(splits / 2));
+  // inplace-lint: end-block
+  INPLACE_ENSURE(ws.line.size() >= n && ws.head.size() >= n * n &&
+                     ws.visited.size() >= m &&
+                     ws.index.size() >= tables &&
+                     skinny_slots(ws, n) >= slots &&
+                     ws.saved.size() >= saved &&
+                     ws.cycles.splits.capacity() >= splits &&
+                     ws.cycles.split_ends.capacity() >= splits / 2,
+                 "skinny workspace smaller than its row, window, visited, "
+                 "residue-table, saved-scratch and split-list bounds");
+  INPLACE_ENSURE(util::is_scratch_aligned(ws.line.data()) &&
+                     util::is_scratch_aligned(ws.head.data()) &&
+                     (ws.team.empty() ||
+                      util::is_scratch_aligned(ws.team.data())) &&
+                     (ws.saved.empty() ||
+                      util::is_scratch_aligned(ws.saved.data())),
+                 "skinny scratch is not 64-byte aligned");
+}
+
 /// Sizes a skinny workspace for an m x n problem on `threads` threads
-/// (0: the active OpenMP team): a line of n (no scratch index reaches n),
-/// an n x n head, the visited map, per-column offsets, an n x n gather
-/// index (the fused passes' per-residue tables), one more row +
-/// window per extra thread when the problem is over the team floor (the
+/// (0: the active OpenMP team) in the layout the passes will run it in
+/// (skinny_chunk_layout): one slot per thread over the team floor (the
 /// one place the floor is applied: under it the workspace has one slot,
-/// so skinny_team is 1), skinny_saved_rows(m) segment-start rows, and the
-/// capacity of the memo-less split lists.  Never Theorem 6's max(m, n)
-/// line: the skinny passes move whole rows, not columns.
+/// so skinny_team is 1), else one.
 template <typename T>
 void reserve_skinny(workspace<T>& ws, std::uint64_t m, std::uint64_t n,
                     int threads = 0) {
@@ -157,37 +350,7 @@ void reserve_skinny(workspace<T>& ws, std::uint64_t m, std::uint64_t n,
       m * n * sizeof(T) < skinny_team_floor_bytes()
           ? 1
           : std::max<std::uint64_t>(1, std::min(want, m / n));
-  // inplace-lint: allow-block(raw-alloc): acquisition-funnel entry — the
-  // skinny engine sizes its workspace here, once per plan, before any
-  // pass runs: the per-thread rows and windows and the q segment rows
-  // included, so no pass (nor its rollback) allocates
-  ws.line.resize(static_cast<std::size_t>(n));
-  ws.head.resize(static_cast<std::size_t>(n * n));
-  ws.visited.allocate(m, scratch_rung::full);
-  ws.offsets.resize(static_cast<std::size_t>(n));
-  ws.index.resize(static_cast<std::size_t>(n * n));
-  ws.team.resize(static_cast<std::size_t>((slots - 1) *
-                                          skinny_slot_stride<T>(n)));
-  ws.saved.resize(static_cast<std::size_t>(skinny_saved_rows(m) * n));
-  ws.cycles = cycle_memo{};
-  ws.cycles.splits.reserve(static_cast<std::size_t>(skinny_saved_rows(m)));
-  ws.cycles.split_ends.reserve(
-      static_cast<std::size_t>(skinny_saved_rows(m) / 2));
-  // inplace-lint: end-block
-  INPLACE_ENSURE(ws.line.size() >= n && ws.head.size() >= n * n &&
-                     ws.visited.size() >= m && ws.index.size() >= n * n &&
-                     skinny_slots(ws, n) >= slots &&
-                     ws.saved.size() >= skinny_saved_rows(m) * n &&
-                     ws.cycles.splits.capacity() >= skinny_saved_rows(m) &&
-                     ws.cycles.split_ends.capacity() >=
-                         skinny_saved_rows(m) / 2,
-                 "skinny workspace smaller than its row, window, visited, "
-                 "n x n residue-table, segment-row and split-list bounds");
-  INPLACE_ENSURE(util::is_scratch_aligned(ws.line.data()) &&
-                     util::is_scratch_aligned(ws.head.data()) &&
-                     (ws.team.empty() ||
-                      util::is_scratch_aligned(ws.team.data())),
-                 "skinny scratch is not 64-byte aligned");
+  reserve_skinny_as(ws, m, n, slots, skinny_chunk_layout<T>(m, n));
 }
 
 /// Calls body(k, t) for every item k in [0, count), t being the running
@@ -329,16 +492,18 @@ void skinny_gather_table(const Math& mm, std::uint64_t* idx) {
 }
 
 /// dst[k] = src[idx[k]] for k in [0, n): the kernel tier's gather_index
-/// for 4/8-byte elements with a kernel set, a plain indexed loop for the
-/// rest (byte/short elements, the tile plans' lane chunks, the untuned
+/// for 4/8-byte elements with a kernel set (`stream`: unfenced
+/// non-temporal stores to dst), a plain indexed loop for the rest
+/// (byte/short elements, the tile plans' lane chunks, the untuned
 /// rollback).
 template <typename T>
 void gather_row(T* dst, const T* src, const std::uint64_t* idx,
-                std::uint64_t n, const kernels::kernel_set* ks) {
+                std::uint64_t n, const kernels::kernel_set* ks,
+                bool stream = false) {
   if constexpr (kernels::has_gather_lanes<T>) {
     if (ks != nullptr) {
       kernels::gather_index(*ks, dst, src, idx, static_cast<std::size_t>(n),
-                            /*stream_dst=*/false);
+                            stream);
       return;
     }
   }
@@ -404,10 +569,10 @@ void fused_scatter_rows(T* a, const Math& mm, std::uint64_t lo,
 /// transformed rows), and each iteration transforms the row sliding into
 /// the window.  The tile tier fuses its per-slab register transpose here;
 /// the default is a no-op.
-template <typename T, typename Math, typename BlockFn = no_block_transform>
-void skinny_fused_scatter(T* a, const Math& mm, workspace<T>& ws,
-                          const kernels::kernel_set* ks, bool stream,
-                          BlockFn block = BlockFn{}) {
+template <typename T, typename Math, typename BlockFn>
+void fused_scatter_pass(T* a, const Math& mm, workspace<T>& ws,
+                        const kernels::kernel_set* ks, bool stream,
+                        BlockFn& block) {
   const std::uint64_t m = mm.m;
   const std::uint64_t n = mm.n;
   const std::uint64_t w = mm.c - 1;
@@ -427,6 +592,194 @@ void skinny_fused_scatter(T* a, const Math& mm, workspace<T>& ws,
   });
 }
 
+/// C2R pass 1 in layout `cl`: fused_scatter_pass over the whole matrix,
+/// or, chunked, over the m' x n prefix, with the tail's rows taking the
+/// block hook in place — the spread (pass 3) consumes them.
+template <typename T, typename Math, typename BlockFn>
+void skinny_fused_scatter_as(T* a, const Math& mm, const chunk_layout& cl,
+                             workspace<T>& ws, const kernels::kernel_set* ks,
+                             bool stream, BlockFn& block) {
+  if (!cl.chunked()) {
+    fused_scatter_pass(a, mm, ws, ks, stream, block);
+    return;
+  }
+  if (cl.tail > 0) {
+    block(a + cl.prefix * mm.n, cl.tail);
+  }
+  fused_scatter_pass(a, Math(cl.prefix, mm.n), ws, ks, stream, block);
+}
+
+/// C2R pass 1 in the layout skinny_chunk_layout picks.
+template <typename T, typename Math, typename BlockFn = no_block_transform>
+void skinny_fused_scatter(T* a, const Math& mm, workspace<T>& ws,
+                          const kernels::kernel_set* ks, bool stream,
+                          BlockFn block = BlockFn{}) {
+  skinny_fused_scatter_as(a, mm, skinny_chunk_layout<T>(mm.m, mm.n), ws, ks,
+                          stream, block);
+}
+
+/// The chunked passes' team: skinny_team over the m x n problem.
+/// inplace::error, before anything moves, when ws.saved holds no block
+/// buffer per slot (a workspace reserve_skinny did not size for `cl`).
+template <typename T>
+[[nodiscard]] std::uint64_t chunk_team(const workspace<T>& ws,
+                                       std::uint64_t m, std::uint64_t n,
+                                       const chunk_layout& cl) {
+  if (ws.saved.size() < skinny_slots(ws, n) * chunk_buffer_stride<T>(n, cl)) {
+    throw error(
+        "inplace: skinny workspace holds no block buffer per slot for the "
+        "chunked passes (not sized by reserve_skinny for this shape)");
+  }
+  return skinny_team(ws, m, n);
+}
+
+/// The chunked C2R rotation's gather offsets (n entries): idx[j] =
+/// j (n + 1), so transposed row x B + yb of a block gathers row
+/// chunk_source_row(n, x, yb) + j, column j, of a buffer whose row h holds
+/// input row h - (n - 1) of the block: A' row r, column j = input row
+/// r - (n - 1 - j) — p's rotation by j and q's shift by n - 1 together.
+inline void chunk_c2r_table(std::uint64_t n, std::uint64_t* idx) {
+  for (std::uint64_t j = 0; j < n; ++j) {
+    idx[j] = j * (n + 1);
+  }
+}
+
+/// The chunked R2C rotation's gather offsets (two n x n tables): output
+/// row yb n + x, column j takes A' row k = yb n + x + n - 1 - j, column j,
+/// from a buffer holding the block's B n transposed rows and then the next
+/// block's A' rows 0..n-2.  Relative to buffer row yb, A' row k sits at
+/// row chunk_target_row(n, B, x + n - 1 - j) while k stays in the block
+/// (table 0: every yb < B - 1); on the block's last yb the rows past it
+/// come from the staged rows instead (table 1).
+inline void chunk_r2c_tables(std::uint64_t n, std::uint64_t rows,
+                             std::uint64_t* idx) {
+  for (std::uint64_t x = 0; x < n; ++x) {
+    for (std::uint64_t j = 0; j < n; ++j) {
+      const std::uint64_t u = x + n - 1 - j;
+      const std::uint64_t inside = chunk_target_row(n, rows, u);
+      idx[x * n + j] = inside * n + j;
+      idx[n * n + x * n + j] =
+          (u < n ? inside : rows * n + (u - n) - (rows - 1)) * n + j;
+    }
+  }
+}
+
+/// Blocks [lo, hi) of the chunked C2R rotation, bottom-up: each block of
+/// B n rows is staged in `buf` behind the n - 1 rows before it (the
+/// previous block's, still unwritten; for the slab's first block, the
+/// saved window `win`), then written back transposed, one gather per row
+/// (chunk_c2r_table).  Streamed stores stay unfenced.
+template <typename T>
+void chunk_rotate_c2r_blocks(T* a, std::uint64_t n, const chunk_layout& cl,
+                             std::uint64_t lo, std::uint64_t hi, const T* win,
+                             T* buf, const std::uint64_t* idx,
+                             const kernels::kernel_set* ks, bool stream) {
+  const std::uint64_t halo = (n - 1) * n;
+  const std::uint64_t block = cl.rows * n * n;
+  for (std::uint64_t y = hi; y-- > lo;) {
+    T* rows = a + y * block;
+    copy_back(buf, y > lo ? rows - halo : win, halo);
+    copy_back(buf + halo, rows, block, ks, false);
+    T* out = rows;
+    for (std::uint64_t x = 0; x < n; ++x) {
+      for (std::uint64_t yb = 0; yb < cl.rows; ++yb, out += n) {
+        gather_row(out, buf + chunk_source_row(n, x, yb) * n, idx, n, ks,
+                   stream);
+      }
+    }
+  }
+}
+
+/// Blocks [lo, hi) of the chunked R2C rotation, top-down: each block is
+/// staged in `buf` followed by the next block's A' rows 0..n-2 (read from
+/// its transposed layout, still unwritten; for the slab's last block, the
+/// saved window `win`), then written back in natural order, one gather
+/// per row (chunk_r2c_tables).  Streamed stores stay unfenced.
+template <typename T>
+void chunk_rotate_r2c_blocks(T* a, std::uint64_t n, const chunk_layout& cl,
+                             std::uint64_t lo, std::uint64_t hi, const T* win,
+                             T* buf, const std::uint64_t* tables,
+                             const kernels::kernel_set* ks, bool stream) {
+  const std::uint64_t block = cl.rows * n * n;
+  T* staged = buf + block;
+  for (std::uint64_t y = lo; y < hi; ++y) {
+    T* rows = a + y * block;
+    copy_back(buf, rows, block, ks, false);
+    if (y + 1 < hi) {
+      for (std::uint64_t k = 0; k + 1 < n; ++k) {
+        copy_back(staged + k * n,
+                  rows + block + chunk_target_row(n, cl.rows, k) * n, n);
+      }
+    } else {
+      copy_back(staged, win, (n - 1) * n);
+    }
+    T* out = rows;
+    for (std::uint64_t yb = 0; yb < cl.rows; ++yb) {
+      const std::uint64_t* table = tables + (yb + 1 < cl.rows ? 0 : n * n);
+      for (std::uint64_t x = 0; x < n; ++x, out += n) {
+        gather_row(out, buf + yb * n, table + x * n, n, ks, stream);
+      }
+    }
+  }
+}
+
+/// Chunked pass 2 (C2R: p with q's n - 1 shift absorbed, then each
+/// block's B x n -> n x B row transpose; R2C: its inverse) over the
+/// prefix's K blocks, one slab of blocks per thread.  Each slab's window
+/// — the n - 1 rows before its first block (C2R, mod m'), or the next
+/// slab's first block's A' rows 0..n-2 (R2C, mod K blocks) — is saved in
+/// its slot before the team starts; each thread stages blocks in its own
+/// buffer at the head of ws.saved.
+template <typename T>
+void chunk_rotate(T* a, std::uint64_t m, std::uint64_t n,
+                  const chunk_layout& cl, workspace<T>& ws,
+                  const kernels::kernel_set* ks, bool stream, bool c2r) {
+  const std::uint64_t slabs = std::min(chunk_team(ws, m, n, cl), cl.chunks);
+  INPLACE_REQUIRE(ws.index.size() >= 2 * n * n,
+                  "skinny workspace has no room for the chunk tables");
+  const std::uint64_t block = cl.rows * n;  // rows
+  std::uint64_t* idx = ws.index.data();
+  if (c2r) {
+    chunk_c2r_table(n, idx);
+  } else {
+    chunk_r2c_tables(n, cl.rows, idx);
+  }
+  for (std::uint64_t s = 0; s < slabs; ++s) {
+    T* win = slot_of(ws, n, s).window;
+    if (c2r) {
+      const std::uint64_t lo = slab_lo(cl.chunks, slabs, s) * block;
+      copy_back(win, a + (lo + cl.prefix - (n - 1)) % cl.prefix * n,
+                (n - 1) * n);
+    } else {
+      const std::uint64_t next =
+          slab_lo(cl.chunks, slabs, s + 1) % cl.chunks * block;
+      for (std::uint64_t k = 0; k + 1 < n; ++k) {
+        copy_back(win + k * n, a + (next + chunk_target_row(n, cl.rows, k)) * n,
+                  n);
+      }
+    }
+  }
+  const std::uint64_t stride = chunk_buffer_stride<T>(n, cl);
+  team_for(
+      slabs, slabs,
+      [&](std::uint64_t s, std::uint64_t t) {
+        const std::uint64_t lo = slab_lo(cl.chunks, slabs, s);
+        const std::uint64_t hi = slab_lo(cl.chunks, slabs, s + 1);
+        T* buf = ws.saved.data() + t * stride;
+        const T* win = slot_of(ws, n, s).window;
+        if (c2r) {
+          chunk_rotate_c2r_blocks(a, n, cl, lo, hi, win, buf, idx, ks, stream);
+        } else {
+          chunk_rotate_r2c_blocks(a, n, cl, lo, hi, win, buf, idx, ks, stream);
+        }
+      },
+      [&](std::uint64_t) {
+        if (stream && ks != nullptr) {
+          ks->fence();
+        }
+      });
+}
+
 /// The rotation p's residuals j mod m into ws.offsets, and the largest.
 template <typename T, typename Math>
 std::uint64_t skinny_p_offsets(const Math& mm, workspace<T>& ws) {
@@ -441,11 +794,16 @@ std::uint64_t skinny_p_offsets(const Math& mm, workspace<T>& ws) {
 /// C2R pass 2 — rotation component p_j of the column shuffle: row i,
 /// column j <- row (i + j) mod m.  One top-down sweep per slab (the fine
 /// pass of Section 4.6 over the full row width, fine_rotate_rows) with
-/// the next slab's first rows as the window.  Inverse of
-/// skinny_rotate_p_inv.
+/// the next slab's first rows as the window.  Chunked, chunk_rotate's
+/// C2R sweep instead.  Inverse of skinny_rotate_p_inv.
 template <typename T, typename Math>
 void skinny_rotate_p(T* a, const Math& mm, workspace<T>& ws,
                      const kernels::kernel_set* ks, bool stream) {
+  const chunk_layout cl = skinny_chunk_layout<T>(mm.m, mm.n);
+  if (cl.chunked()) {
+    chunk_rotate(a, mm.m, mm.n, cl, ws, ks, stream, /*c2r=*/true);
+    return;
+  }
   const std::uint64_t m = mm.m;
   const std::uint64_t n = mm.n;
   const std::uint64_t w = skinny_p_offsets(mm, ws);  // min(n, m) - 1
@@ -504,10 +862,15 @@ void rotate_p_inv_rows(T* a, std::uint64_t lo, std::uint64_t hi,
 /// the previous slab's (for the first slab: the matrix's) last rows,
 /// saved before the team starts.  Unwrapped rows dispatch to the kernel
 /// tier's gather_index over the window of rows [i - max_res, i].
-/// Inverse of skinny_rotate_p.
+/// Chunked, chunk_rotate's R2C sweep instead.  Inverse of skinny_rotate_p.
 template <typename T, typename Math>
 void skinny_rotate_p_inv(T* a, const Math& mm, workspace<T>& ws,
                          const kernels::kernel_set* ks, bool stream) {
+  const chunk_layout cl = skinny_chunk_layout<T>(mm.m, mm.n);
+  if (cl.chunked()) {
+    chunk_rotate(a, mm.m, mm.n, cl, ws, ks, stream, /*c2r=*/false);
+    return;
+  }
   const std::uint64_t m = mm.m;
   const std::uint64_t n = mm.n;
   const std::uint64_t w = skinny_p_offsets(mm, ws);  // min(n, m) - 1
@@ -529,70 +892,79 @@ void skinny_rotate_p_inv(T* a, const Math& mm, workspace<T>& ws,
   });
 }
 
-/// C2R pass 3 / R2C pass 1 — the static row permutation `perm` (q or
-/// q^-1, a gather on [0, m)), moving whole contiguous rows by cycle
-/// following.  The cycles depend only on the plan's shape, so `memo`
-/// replays them without re-discovery; `memo` must have been discovered
-/// against a workspace with as many saved rows (inplace::error
-/// otherwise, before anything moves).  Cycles longer than
-/// skinny_segment_hops are split into segments at discovery; each
-/// segment's first row is saved into ws.saved before the team starts, so
-/// the segments and the groups of whole cycles are independent items the
-/// team claims in any order.  With no memo (the untuned rollback) each
-/// whole cycle moves on the calling thread as soon as discovery has
-/// walked it, so only the split lists, which reserve_skinny sized, are
-/// recorded (in ws.cycles) and nothing allocates.
+/// The cycles a walk of the gather `perm` over `count` units replays: a
+/// tuned memo, discovered or replayed, or null for a memo-less walk
+/// (walk_units discovers as it moves).  Cycles longer than `seg` hops
+/// are split into segments at discovery; a memo split into more segments
+/// than `saved_units` units of scratch hold is refused with inplace::error
+/// (memo discovered against another workspace), before anything moves.
 template <typename T, typename PermFn>
-void skinny_permute_rows(T* a, std::uint64_t m, std::uint64_t n, PermFn perm,
-                         cycle_memo* memo, std::uint64_t key,
-                         workspace<T>& ws, const kernels::kernel_set* ks,
-                         bool stream) {
-  const std::uint64_t saved_rows = ws.saved.size() / n;
-  const std::uint64_t seg =
-      saved_rows >= skinny_saved_rows(m) ? skinny_segment_hops : 0;
+cycle_memo* walk_cycles(cycle_memo* memo, std::uint64_t key,
+                        std::uint64_t count, PermFn perm, workspace<T>& ws,
+                        std::uint64_t seg, std::uint64_t saved_units) {
   if (memo == nullptr) {
-    memo = &ws.cycles;
-    memo->ready = false;
-    block_mover<T> mv(a, n, n, slot_of(ws, n, 0).row, ks, stream);
-    discover_split_cycles(*memo, m, perm, ws.visited, seg,
-                          [&](std::uint64_t y) { move_cycle(mv, perm, y, m); });
-  } else {
-    discover_or_replay(*memo, key, m, perm, ws.visited, seg);
+    return nullptr;
   }
-  const std::vector<std::uint64_t>& whole = memo->starts;
-  const std::vector<std::uint64_t>& splits = memo->splits;
-  if (splits.size() > saved_rows) {
+  discover_or_replay(*memo, key, count, perm, ws.visited, seg);
+  if (memo->splits.size() > saved_units) {
     throw error(
         "inplace: cycle memo holds more segments than the workspace has "
         "saved rows (memo discovered against another workspace)");
   }
-  T* saved = ws.saved.data();
+  return memo;
+}
+
+/// Moves `count` contiguous units of `width` elements by the gather
+/// `perm`, following the cycles `memo` lists (walk_cycles).  Each split
+/// segment's first unit is saved into `saved` before the team starts, so
+/// the segments and the groups of whole cycles are independent items the
+/// team claims in any order; tmp_of(t) is thread t's one-unit scratch for
+/// whole cycles.  With no memo (the untuned rollback) each whole cycle
+/// moves on the calling thread as soon as discovery has walked it, so
+/// only the split lists, which reserve_skinny sized, are recorded (in
+/// ws.cycles) and nothing allocates.
+template <typename T, typename PermFn, typename TmpFn>
+void walk_units(T* a, std::uint64_t count, std::uint64_t width, PermFn perm,
+                cycle_memo* memo, std::uint64_t seg, T* saved, TmpFn tmp_of,
+                workspace<T>& ws, std::uint64_t team,
+                const kernels::kernel_set* ks, bool stream) {
+  if (memo == nullptr) {
+    memo = &ws.cycles;
+    memo->ready = false;
+    block_mover<T> mv(a, width, width, tmp_of(0), ks, stream);
+    discover_split_cycles(*memo, count, perm, ws.visited, seg,
+                          [&](std::uint64_t y) {
+                            move_cycle(mv, perm, y, count);
+                          });
+  }
+  const std::vector<std::uint64_t>& whole = memo->starts;
+  const std::vector<std::uint64_t>& splits = memo->splits;
   for (std::size_t s = 0; s < splits.size(); ++s) {
-    copy_back(saved + s * n, a + splits[s] * n, n);
+    copy_back(saved + s * width, a + splits[s] * width, width);
   }
   // Items: groups of whole cycles (one mover each), then the segments.
   const std::uint64_t groups =
       (whole.size() + skinny_cycle_group - 1) / skinny_cycle_group;
   const bool nt = stream && ks != nullptr && std::is_trivially_copyable_v<T>;
   team_for(
-      skinny_team(ws, m, n), groups + splits.size(),
+      team, groups + splits.size(),
       [&](std::uint64_t k, std::uint64_t t) {
-        // Streamed row stores stay unfenced here; done() fences each
-        // thread's once (thread 0 is the calling thread, so its memo-less
-        // moves above are fenced too).
+        // Streamed stores stay unfenced here; done() fences each thread's
+        // once (thread 0 is the calling thread, so its memo-less moves
+        // above are fenced too).
         if (k < groups) {
-          block_mover<T> mv(a, n, n, slot_of(ws, n, t).row, ks, stream);
+          block_mover<T> mv(a, width, width, tmp_of(t), ks, stream);
           const std::uint64_t end = std::min<std::uint64_t>(
               whole.size(), (k + 1) * skinny_cycle_group);
           for (std::uint64_t y = k * skinny_cycle_group; y < end; ++y) {
-            move_cycle(mv, perm, whole[y], m);
+            move_cycle(mv, perm, whole[y], count);
           }
           return;
         }
         const std::size_t s = k - groups;
         const std::size_t next = next_segment(*memo, s);
-        block_mover<T> mv(a, n, n, saved + next * n, ks, stream);
-        move_segment(mv, perm, splits[s], splits[next], skinny_segment_hops);
+        block_mover<T> mv(a, width, width, saved + next * width, ks, stream);
+        move_segment(mv, perm, splits[s], splits[next], seg);
       },
       [&](std::uint64_t) {
         if (nt) {
@@ -601,24 +973,241 @@ void skinny_permute_rows(T* a, std::uint64_t m, std::uint64_t n, PermFn perm,
       });
 }
 
-/// C2R pass 3 — static row permutation q.  Inverse of
+/// C2R pass 3 / R2C pass 1 below the chunk threshold — the static row
+/// permutation `perm` (q or q^-1, a gather on [0, m)), moving whole
+/// contiguous rows by cycle following (walk_units).  The cycles depend
+/// only on the plan's shape, so `memo` replays them without
+/// re-discovery; `memo` must have been discovered against a workspace
+/// with as many saved rows (inplace::error otherwise, before anything
+/// moves).  Cycles longer than skinny_segment_hops are split into
+/// segments whose first rows go to ws.saved.
+template <typename T, typename PermFn>
+void skinny_permute_rows(T* a, std::uint64_t m, std::uint64_t n, PermFn perm,
+                         cycle_memo* memo, std::uint64_t key,
+                         workspace<T>& ws, const kernels::kernel_set* ks,
+                         bool stream) {
+  const std::uint64_t saved_rows = ws.saved.size() / n;
+  const std::uint64_t seg =
+      saved_rows >= skinny_saved_rows(m) ? skinny_segment_hops : 0;
+  cycle_memo* cycles = walk_cycles(memo, key, m, perm, ws, seg, saved_rows);
+  walk_units(
+      a, m, n, perm, cycles, seg, ws.saved.data(),
+      [&](std::uint64_t t) { return slot_of(ws, n, t).row; }, ws,
+      skinny_team(ws, m, n), ks, stream);
+}
+
+/// Moves `count` elements dst <- src; the ranges may overlap.
+template <typename T>
+void move_elems(T* dst, const T* src, std::uint64_t count) {
+  if constexpr (std::is_trivially_copyable_v<T>) {
+    std::memmove(dst, src, static_cast<std::size_t>(count) * sizeof(T));
+  } else if (dst < src) {
+    std::copy(src, src + count, dst);
+  } else {
+    std::copy_backward(src, src + count, dst + count);
+  }
+}
+
+/// Elements [lo, hi) of the C2R spread, back to front: field f's element
+/// i < m' (at f m' + i) moves to f m + i, and the gap [f m + m', (f + 1) m)
+/// takes field f of the s tail structures from `tail` (s x n, AoS).  Every
+/// source sits at or below its destination, at most (n - 1) s below;
+/// those below lo come from `win`, the `wlen` elements [lo - wlen, lo)
+/// saved before the team starts.
+template <typename T>
+void spread_slab(T* a, std::uint64_t m, std::uint64_t n,
+                 const chunk_layout& cl, std::uint64_t lo, std::uint64_t hi,
+                 const T* tail, const T* win, std::uint64_t wlen) {
+  std::uint64_t p = hi;
+  while (p > lo) {
+    const std::uint64_t f = (p - 1) / m;
+    const std::uint64_t start = f * m;
+    if (p - start > cl.prefix) {  // p - 1 lies in field f's gap
+      const std::uint64_t gap = std::max(lo, start + cl.prefix);
+      for (std::uint64_t q = gap; q < p; ++q) {
+        a[q] = tail[(q - start - cl.prefix) * n + f];
+      }
+      p = gap;
+      continue;
+    }
+    const std::uint64_t body = std::max(lo, start);
+    const std::uint64_t shift = f * cl.tail;
+    // [body, p) <- [body - shift, p - shift); sources below lo are in win.
+    const std::uint64_t own = std::min(p, std::max(body, lo + shift));
+    move_elems(a + own, a + own - shift, p - own);
+    if (own > body) {
+      copy_back(a + body, win + (body - shift - (lo - wlen)), own - body);
+    }
+    p = body;
+  }
+}
+
+/// Elements [lo, hi) of the R2C gather (the spread's inverse on the
+/// prefix), front to back: element f m' + i <- f m + i.  Every source
+/// sits at or above its destination, at most (n - 1) s above; those at or
+/// past hi come from `win`, the elements [hi, hi + wlen) saved before the
+/// team starts.
+template <typename T>
+void gather_slab(T* a, const chunk_layout& cl, std::uint64_t lo,
+                 std::uint64_t hi, const T* win) {
+  std::uint64_t q = lo;
+  while (q < hi) {
+    const std::uint64_t f = q / cl.prefix;
+    const std::uint64_t end = std::min(hi, (f + 1) * cl.prefix);
+    const std::uint64_t shift = f * cl.tail;
+    // [q, end) <- [q + shift, end + shift); sources past hi are in win.
+    const std::uint64_t own =
+        std::max(q, std::min(end, hi > shift ? hi - shift : 0));
+    move_elems(a + q, a + q + shift, own - q);
+    if (end > own) {
+      copy_back(a + own, win + (own + shift - hi), end - own);
+    }
+    q = end;
+  }
+}
+
+/// The spread's team: at most `team` slabs, as many as ws.saved holds a
+/// window for after the tail.  inplace::error, before anything moves,
+/// when it cannot hold the tail and one window.
+template <typename T>
+[[nodiscard]] std::uint64_t spread_team(const workspace<T>& ws,
+                                        std::uint64_t n,
+                                        const chunk_layout& cl,
+                                        std::uint64_t team) {
+  const std::uint64_t tail = cl.tail * n;
+  const std::uint64_t reach = (n - 1) * cl.tail;
+  if (ws.saved.size() < tail + reach) {
+    throw error(
+        "inplace: skinny workspace cannot hold the chunked spread's tail "
+        "(not sized by reserve_skinny for this shape)");
+  }
+  return reach == 0 ? team
+                    : std::min(team, (ws.saved.size() - tail) / reach);
+}
+
+/// The spread (C2R, after the chunk walk) or its inverse gather (R2C,
+/// before it) between the prefix's n x m' result with the tail's s
+/// structures after it and the n x m result, on `slabs` slabs of
+/// elements.  The tail and each slab's window go to ws.saved before the
+/// team starts; a 1.1 GB memmove on one thread would cost most of what
+/// the chunk walk saves.
+template <typename T>
+void chunk_spread(T* a, std::uint64_t m, std::uint64_t n,
+                  const chunk_layout& cl, workspace<T>& ws,
+                  std::uint64_t slabs, bool c2r) {
+  if (cl.tail == 0) {
+    return;
+  }
+  const std::uint64_t s = cl.tail;
+  const std::uint64_t reach = (n - 1) * s;
+  const std::uint64_t total = (c2r ? m : cl.prefix) * n;
+  T* tail = ws.saved.data();
+  T* wins = tail + s * n;
+  // Slab edges on 64-element boundaries, so no two threads share a line.
+  const auto edge = [&](std::uint64_t k) {
+    return k == slabs ? total : k * total / slabs / 64 * 64;
+  };
+  if (c2r) {
+    copy_back(tail, a + cl.prefix * n, s * n);
+    for (std::uint64_t k = 0; k < slabs; ++k) {
+      const std::uint64_t lo = edge(k);
+      const std::uint64_t w = std::min(lo, reach);
+      copy_back(wins + k * reach, a + lo - w, w);
+    }
+    team_for(
+        slabs, slabs,
+        [&](std::uint64_t k, std::uint64_t) {
+          const std::uint64_t lo = edge(k);
+          spread_slab(a, m, n, cl, lo, edge(k + 1), tail, wins + k * reach,
+                      std::min(lo, reach));
+        },
+        [](std::uint64_t) {});
+    return;
+  }
+  for (std::uint64_t f = 0; f < n; ++f) {
+    for (std::uint64_t t = 0; t < s; ++t) {
+      tail[t * n + f] = a[f * m + cl.prefix + t];
+    }
+  }
+  for (std::uint64_t k = 0; k < slabs; ++k) {
+    const std::uint64_t hi = edge(k + 1);
+    copy_back(wins + k * reach, a + hi, std::min(reach, m * n - hi));
+  }
+  team_for(
+      slabs, slabs,
+      [&](std::uint64_t k, std::uint64_t) {
+        gather_slab(a, cl, edge(k), edge(k + 1), wins + k * reach);
+      },
+      [](std::uint64_t) {});
+  copy_back(a + cl.prefix * n, tail, s * n);
+}
+
+/// Chunked pass 3: the chunk walk over the K x n grid of B-row chunks
+/// (chunk_grid_source, as a gather through walk_units; C2R) followed by
+/// the spread, or the gather followed by the inverse walk (R2C).  Every
+/// capacity check and the walk's discovery run before anything moves.
+template <typename T>
+void chunk_permute(T* a, std::uint64_t m, std::uint64_t n,
+                   const chunk_layout& cl, workspace<T>& ws, cycle_memo* memo,
+                   const kernels::kernel_set* ks, bool stream, bool c2r) {
+  const std::uint64_t count = cl.chunks * n;
+  const std::uint64_t width = cl.rows * n;
+  const std::uint64_t team = chunk_team(ws, m, n, cl);
+  const std::uint64_t slabs = spread_team(ws, n, cl, team);
+  const std::uint64_t stride = chunk_buffer_stride<T>(n, cl);
+  const std::uint64_t head = skinny_slots(ws, n) * stride;
+  const std::uint64_t saved_chunks = (ws.saved.size() - head) / width;
+  const std::uint64_t seg =
+      saved_chunks >= chunk_saved_chunks(n, cl) ? chunk_segment_hops(count) : 0;
+  const std::uint64_t k = cl.chunks;
+  const auto perm = [k, n, c2r](std::uint64_t i) {
+    return c2r ? chunk_grid_source(k, n, i) : chunk_grid_source_inv(k, n, i);
+  };
+  const std::uint64_t key = memo_fingerprint(
+      k, n, width, c2r ? memo_pass::chunk_q : memo_pass::chunk_q_inv);
+  cycle_memo* cycles = walk_cycles(memo, key, count, perm, ws, seg,
+                                   saved_chunks);
+  if (!c2r) {
+    chunk_spread(a, m, n, cl, ws, slabs, /*c2r=*/false);
+  }
+  walk_units(
+      a, count, width, perm, cycles, seg, ws.saved.data() + head,
+      [&](std::uint64_t t) { return ws.saved.data() + t * stride; }, ws,
+      team, ks, stream);
+  if (c2r) {
+    chunk_spread(a, m, n, cl, ws, slabs, /*c2r=*/true);
+  }
+}
+
+/// C2R pass 3 — static row permutation q: the row walk, or chunked, the
+/// chunk walk and the spread (chunk_permute).  Inverse of
 /// skinny_permute_q_inv.
 template <typename T, typename Math>
 void skinny_permute_q(T* a, const Math& mm, workspace<T>& ws,
                       cycle_memo* memo, const kernels::kernel_set* ks,
                       bool stream) {
+  const chunk_layout cl = skinny_chunk_layout<T>(mm.m, mm.n);
+  if (cl.chunked()) {
+    chunk_permute(a, mm.m, mm.n, cl, ws, memo, ks, stream, /*c2r=*/true);
+    return;
+  }
   skinny_permute_rows(
       a, mm.m, mm.n, [&](std::uint64_t i) { return mm.q(i); }, memo,
       memo_fingerprint(mm.m, mm.n, /*width=*/mm.n, memo_pass::row_q), ws, ks,
       stream);
 }
 
-/// R2C pass 1 — inverse row permutation q^-1.  Inverse of
-/// skinny_permute_q.
+/// R2C pass 1 — inverse row permutation q^-1: the row walk, or chunked,
+/// the gather and the inverse chunk walk.  Inverse of skinny_permute_q.
 template <typename T, typename Math>
 void skinny_permute_q_inv(T* a, const Math& mm, workspace<T>& ws,
                           cycle_memo* memo, const kernels::kernel_set* ks,
                           bool stream) {
+  const chunk_layout cl = skinny_chunk_layout<T>(mm.m, mm.n);
+  if (cl.chunked()) {
+    chunk_permute(a, mm.m, mm.n, cl, ws, memo, ks, stream, /*c2r=*/false);
+    return;
+  }
   skinny_permute_rows(
       a, mm.m, mm.n, [&](std::uint64_t i) { return mm.q_inv(i); }, memo,
       memo_fingerprint(mm.m, mm.n, /*width=*/mm.n, memo_pass::row_q_inv), ws,
@@ -694,10 +1283,10 @@ void fused_gather_rows(T* a, const Math& mm, std::uint64_t lo,
 /// gather reads (in-matrix or saved window) is a pre-transform value, so
 /// fusing the transform after the gather keeps the two passes exact
 /// inverses when the hooks are inverses.
-template <typename T, typename Math, typename BlockFn = no_block_transform>
-void skinny_fused_gather(T* a, const Math& mm, workspace<T>& ws,
-                         const kernels::kernel_set* ks, bool stream,
-                         BlockFn block = BlockFn{}) {
+template <typename T, typename Math, typename BlockFn>
+void fused_gather_pass(T* a, const Math& mm, workspace<T>& ws,
+                       const kernels::kernel_set* ks, bool stream,
+                       BlockFn& block) {
   const std::uint64_t m = mm.m;
   const std::uint64_t n = mm.n;
   const std::uint64_t w = mm.c - 1;
@@ -714,6 +1303,33 @@ void skinny_fused_gather(T* a, const Math& mm, workspace<T>& ws,
     fused_gather_rows(a, mm, lo, hi, w, slab.window, ws.index.data(),
                       own.row, ks, stream, block);
   });
+}
+
+/// R2C pass 3 in layout `cl`: fused_gather_pass over the whole matrix,
+/// or, chunked, over the m' x n prefix, with the tail's rows (which pass
+/// 1's gather put back in AoS order) taking the block hook in place.
+/// Inverse of skinny_fused_scatter_as.
+template <typename T, typename Math, typename BlockFn>
+void skinny_fused_gather_as(T* a, const Math& mm, const chunk_layout& cl,
+                            workspace<T>& ws, const kernels::kernel_set* ks,
+                            bool stream, BlockFn& block) {
+  if (!cl.chunked()) {
+    fused_gather_pass(a, mm, ws, ks, stream, block);
+    return;
+  }
+  fused_gather_pass(a, Math(cl.prefix, mm.n), ws, ks, stream, block);
+  if (cl.tail > 0) {
+    block(a + cl.prefix * mm.n, cl.tail);
+  }
+}
+
+/// R2C pass 3 in the layout skinny_chunk_layout picks.
+template <typename T, typename Math, typename BlockFn = no_block_transform>
+void skinny_fused_gather(T* a, const Math& mm, workspace<T>& ws,
+                         const kernels::kernel_set* ks, bool stream,
+                         BlockFn block = BlockFn{}) {
+  skinny_fused_gather_as(a, mm, skinny_chunk_layout<T>(mm.m, mm.n), ws, ks,
+                         stream, block);
 }
 
 }  // namespace inplace::detail

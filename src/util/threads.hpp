@@ -2,6 +2,8 @@
 // Thin OpenMP shims so the library builds and runs (serially) without it,
 // plus the TSan happens-before edges an OpenMP team needs.
 
+#include <cstdint>
+
 #if defined(INPLACE_HAVE_OPENMP)
 #include <omp.h>
 #endif
@@ -70,6 +72,33 @@ class team_edges {
 #endif
   }
 };
+
+/// `#pragma omp parallel for schedule(dynamic, chunk)` over [0, count) —
+/// body(k) for every k — with the team's happens-before edges
+/// (team_edges), so ThreadSanitizer sees the fork and join that hand the
+/// region's writes to the code around it.
+template <typename Body>
+void parallel_for(std::int64_t count, int chunk, Body&& body) {
+#if defined(INPLACE_HAVE_OPENMP)
+  team_edges edges;
+  edges.release();
+#pragma omp parallel
+  {
+    edges.acquire();
+#pragma omp for schedule(dynamic, chunk) nowait
+    for (std::int64_t k = 0; k < count; ++k) {
+      body(k);
+    }
+    edges.release();
+  }
+  edges.acquire();
+#else
+  (void)chunk;
+  for (std::int64_t k = 0; k < count; ++k) {
+    body(k);
+  }
+#endif
+}
 
 /// Scoped override of the OpenMP thread count; restores on destruction.
 ///

@@ -403,6 +403,26 @@ TEST(Rollback, SkinnyTeamRestoresAtEveryBoundaryAllocatingNothing) {
                               opts);
 }
 
+TEST(SkinnyChunked, TeamRestoresAtEveryBoundaryAllocatingNothing) {
+  // Narrow rows from n B rows up take the chunked passes (cpu/skinny.hpp):
+  // whole blocks of n B rows (s = 0) and a tail of s < n B structures
+  // that the spread moves.
+  options opts;
+  opts.engine = engine_kind::skinny;
+  opts.tile = options::tile_mode::off;
+  const std::size_t f32 = 7 * 147;  // n B for f32 x 7
+  const std::size_t m = (skinny_team_rows(7, sizeof(float), 1) + f32 - 1) /
+                        f32 * f32;
+  ASSERT_TRUE(detail::skinny_chunk_layout<float>(m, 7).chunked());
+  check_team_rollback<float>(m, 7, opts);
+  check_team_rollback<float>(m + 500, 7, opts);
+  const std::size_t f64 = 3 * 171;  // n B for f64 x 3
+  const std::size_t m3 =
+      (skinny_team_rows(3, sizeof(double), 1) + f64 - 1) / f64 * f64 + 2;
+  ASSERT_TRUE(detail::skinny_chunk_layout<double>(m3, 3).chunked());
+  check_team_rollback<double>(m3, 3, opts);
+}
+
 TEST(Rollback, TileTeamRestoresAtEveryBoundaryAllocatingNothing) {
   if (!tier_has_tile_pass()) {
     GTEST_SKIP() << "the resolved kernel tier has no in-register tile pass";

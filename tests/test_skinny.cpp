@@ -530,4 +530,199 @@ TEST(SkinnyResidueTable, RefillingTheTablesKeepsTheCachedBytes) {
   EXPECT_EQ(buf, util::iota_matrix<float>(m, n));
 }
 
+// --- the chunked passes -------------------------------------------------------
+//
+// From n B rows up (B the fewest rows spanning skinny_chunk_bytes), rows
+// of at most skinny_chunk_row_bytes take the chunked form (DESIGN §17):
+// passes 1 and 2 on the m' = n B ⌊m / (n B)⌋-row prefix, each block's
+// B x n -> n x B row transpose fused into p, one walk over B-row chunks,
+// and the spread of the s = m - m' tail structures.  gcd(m, n) =
+// gcd(s, n), so s picks c: s = 0 gives c = n.
+
+/// Rows of n elements of `elem` bytes over the team floor: whole blocks of
+/// n B rows, then `tail` more.
+std::uint64_t chunked_rows(std::uint64_t n, std::size_t elem,
+                           std::uint64_t tail) {
+  const std::uint64_t block =
+      n * ((detail::skinny_chunk_bytes + n * elem - 1) / (n * elem));
+  const std::uint64_t rows =
+      detail::skinny_team_floor_bytes() / (n * elem) + 1;
+  return (rows + block - 1) / block * block + tail;
+}
+
+TEST(SkinnyChunked, LayoutFollowsTheRowRule) {
+  // B: the fewest rows spanning a chunk.
+  const detail::chunk_layout f7 = detail::skinny_chunk_layout<float>(5000, 7);
+  EXPECT_EQ(f7.rows, 147u);  // 147 x 28 = 4116 bytes
+  EXPECT_EQ(f7.chunks, 5000u / 1029);
+  EXPECT_EQ(f7.prefix + f7.tail, 5000u);
+  EXPECT_LT(f7.tail, 7u * 147);
+  // Under n B rows: the row walk.
+  EXPECT_FALSE(detail::skinny_chunk_layout<float>(1028, 7).chunked());
+  EXPECT_TRUE(detail::skinny_chunk_layout<float>(1029, 7).chunked());
+  // Rows wider than skinny_chunk_row_bytes chunk only from the floor up.
+  const std::uint64_t wide =
+      (detail::skinny_chunk_floor_bytes + 24 * sizeof(double) - 1) /
+      (24 * sizeof(double));
+  EXPECT_FALSE(detail::skinny_chunk_layout<double>(wide - 1, 24).chunked());
+  EXPECT_TRUE(detail::skinny_chunk_layout<double>(wide, 24).chunked());
+  EXPECT_TRUE(detail::skinny_chunk_layout<double>(5000, 5).chunked());
+  EXPECT_FALSE(detail::skinny_chunk_layout<double>(50000, 6).chunked());
+}
+
+TEST(SkinnyChunked, TeamsMatchTheReferenceEngine) {
+  options skinny;
+  skinny.engine = engine_kind::skinny;
+  skinny.tile = options::tile_mode::off;
+  check_teams<float>(chunked_rows(7, sizeof(float), 0), 7, skinny,
+                     "f32, s = 0, c = n");
+  check_teams<float>(chunked_rows(7, sizeof(float), 500), 7, skinny,
+                     "f32, 0 < s < n B, c = 1");
+  check_teams<float>(chunked_rows(10, sizeof(float), 4), 10, skinny,
+                     "f32, 1 < c < n");
+  check_teams<float>(1000, 7, skinny, "f32, m < n B: the row walk");
+  check_teams<double>(chunked_rows(3, sizeof(double), 2), 3, skinny,
+                      "f64, c = 1");
+  check_teams<double>(chunked_rows(4, sizeof(double), 6), 4, skinny,
+                      "f64, 1 < c < n");
+  check_teams<double>(chunked_rows(5, sizeof(double), 0), 5, skinny,
+                      "f64, s = 0, c = n");
+  check_teams<std::uint8_t>(chunked_rows(9, 1, 3), 9, skinny,
+                            "u8, 1 < c < n");
+  check_teams<std::uint8_t>(chunked_rows(9, 1, 4103), 9, skinny,
+                            "u8, s = n B - 1");
+  check_teams<std::uint16_t>(chunked_rows(10, 2, 0), 10, skinny,
+                             "u16, s = 0");
+  check_teams<std::uint16_t>(chunked_rows(10, 2, 7), 10, skinny,
+                             "u16, c = 1");
+}
+
+/// The tile plans' passes (core/executor.hpp's skinny_passes over W-lane
+/// chunks, the tile pass riding the fused row pass as its block hook) in
+/// the chunked layout with chunks of `rows` rows.  Tile chunk rows are 512
+/// bytes, so the plans reach that layout from skinny_chunk_floor_bytes
+/// up; a small B brings it to test size.  C2R must equal the
+/// transposition and R2C must restore the buffer, on teams 1-4, with the
+/// tail's rows taking the hook too.
+template <typename T, unsigned W>
+void check_tile_chunks(std::uint64_t mc, std::uint64_t n, std::uint64_t rows,
+                       const kernels::kernel_set& ks) {
+  using E = kernels::lane_chunk<T, W>;
+  const std::uint64_t m = mc * W;
+  SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n) + ", W = " +
+               std::to_string(W) + ", B = " + std::to_string(rows));
+  const auto src = util::iota_matrix<T>(m, n);
+  const auto want = util::reference_transpose(std::span<const T>(src), m, n);
+  const transpose_math<fast_divmod> mm(mc, n);
+  const detail::chunk_layout cl = detail::make_chunk_layout(mc, n, rows);
+  ASSERT_TRUE(cl.chunked());
+  auto fwd = [n](E* r, std::uint64_t k) {
+    kernels::tile_pass_portable(reinterpret_cast<T*>(r), n, W, k, true);
+  };
+  auto inv = [n](E* r, std::uint64_t k) {
+    kernels::tile_pass_portable(reinterpret_cast<T*>(r), n, W, k, false);
+  };
+  for (int team = 1; team <= 4; ++team) {
+    SCOPED_TRACE("team " + std::to_string(team));
+    util::thread_count_guard guard(team);
+    auto buf = src;
+    E* a = reinterpret_cast<E*>(buf.data());
+    detail::workspace<E> ws;
+    detail::reserve_skinny_as(ws, mc, n, static_cast<std::uint64_t>(team),
+                              cl);
+    detail::cycle_memo memo;
+    detail::skinny_fused_scatter_as(a, mm, cl, ws, &ks, false, fwd);
+    detail::chunk_rotate(a, mc, n, cl, ws, &ks, false, /*c2r=*/true);
+    detail::chunk_permute(a, mc, n, cl, ws, &memo, &ks, false, /*c2r=*/true);
+    ASSERT_EQ(util::first_mismatch(std::span<const T>(buf),
+                                   std::span<const T>(want)),
+              -1)
+        << "chunked C2R differs from the transposition";
+    detail::chunk_permute(a, mc, n, cl, ws, nullptr, nullptr, false,
+                          /*c2r=*/false);
+    detail::chunk_rotate(a, mc, n, cl, ws, nullptr, false, /*c2r=*/false);
+    detail::skinny_fused_gather_as(a, mm, cl, ws, nullptr, false, inv);
+    ASSERT_EQ(buf, src) << "chunked R2C did not restore the buffer";
+  }
+}
+
+template <typename T>
+void check_tile_chunks_at(unsigned lanes, std::uint64_t mc, std::uint64_t n,
+                          std::uint64_t rows, const kernels::kernel_set& ks) {
+  switch (lanes) {
+    case 4:
+      check_tile_chunks<T, 4>(mc, n, rows, ks);
+      return;
+    case 8:
+      check_tile_chunks<T, 8>(mc, n, rows, ks);
+      return;
+    case 16:
+      check_tile_chunks<T, 16>(mc, n, rows, ks);
+      return;
+    default:
+      FAIL() << "unexpected tile width " << lanes;
+  }
+}
+
+TEST(SkinnyChunked, TilePlansTakeTheHookOnTailRows) {
+  const kernels::kernel_set& native =
+      kernels::set_for(kernels::native_tier());
+  const unsigned w32 = kernels::tile_lanes<float>(native);
+  const unsigned w64 = kernels::tile_lanes<double>(native);
+  if (w32 == 0 || w64 == 0) {
+    GTEST_SKIP() << "the native kernel tier has no in-register tile pass";
+  }
+  // f32 x 8 and f64 x 8 on chunk grids of 2-row chunks (n B = 16): s = 0
+  // (c = n), s = 3 (c = 1) and s = 6 (c = 2), several blocks per slab.
+  for (const std::uint64_t tail : {0, 3, 6}) {
+    check_tile_chunks_at<float>(w32, 16 * 9 + tail, 8, 2, native);
+    check_tile_chunks_at<double>(w64, 16 * 9 + tail, 8, 2, native);
+  }
+  check_tile_chunks_at<float>(w32, 24 * 7 + 5, 8, 3, native);
+}
+
+TEST(SkinnyChunked, UntunedPassesKeepTheWorkspaceBytes) {
+  // The memo-less, kernel-less passes the executor's rollback runs: the
+  // chunk walk records only into the split lists reserve_skinny sized,
+  // and every buffer stays where it was.
+  const std::uint64_t m = chunked_rows(7, sizeof(float), 500);
+  const transpose_math<fast_divmod> mm(m, 7);
+  ASSERT_TRUE(detail::skinny_chunk_layout<float>(m, 7).chunked());
+  detail::workspace<float> ws;
+  detail::reserve_skinny(ws, m, 7);
+  const std::size_t bytes = ws.bytes();
+  const float* saved = ws.saved.data();
+  auto buf = util::iota_matrix<float>(m, 7);
+  const auto want =
+      util::reference_transpose(std::span<const float>(buf), m, 7);
+  detail::skinny_fused_scatter(buf.data(), mm, ws, nullptr, false);
+  detail::skinny_rotate_p(buf.data(), mm, ws, nullptr, false);
+  detail::skinny_permute_q(buf.data(), mm, ws, nullptr, nullptr, false);
+  EXPECT_EQ(buf, want);
+  detail::skinny_permute_q_inv(buf.data(), mm, ws, nullptr, nullptr, false);
+  detail::skinny_rotate_p_inv(buf.data(), mm, ws, nullptr, false);
+  detail::skinny_fused_gather(buf.data(), mm, ws, nullptr, false);
+  EXPECT_EQ(buf, util::iota_matrix<float>(m, 7));
+  EXPECT_EQ(ws.bytes(), bytes);
+  EXPECT_EQ(ws.saved.data(), saved);
+}
+
+TEST(SkinnyChunked, WorkspaceWithoutBlockBuffersIsRefused) {
+  // A workspace reserve_skinny did not size for the chunked form: every
+  // chunked pass that needs ws.saved refuses it before moving anything.
+  const std::uint64_t m = chunked_rows(7, sizeof(float), 500);
+  const transpose_math<fast_divmod> mm(m, 7);
+  detail::workspace<float> plain;
+  plain.reserve(m, 7, 7);
+  auto buf = util::iota_matrix<float>(m, 7);
+  const auto before = buf;
+  EXPECT_THROW(detail::skinny_rotate_p(buf.data(), mm, plain, nullptr, false),
+               inplace::error);
+  detail::cycle_memo memo;
+  EXPECT_THROW(detail::skinny_permute_q_inv(buf.data(), mm, plain, &memo,
+                                            nullptr, false),
+               inplace::error);
+  EXPECT_EQ(buf, before);
+}
+
 }  // namespace

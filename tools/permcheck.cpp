@@ -7,8 +7,9 @@
 // (Eq. 26) factors into p and q (Eqs. 32-34) and composes with the other
 // stages to the true transposition permutation l -> l*m mod (mn - 1), and
 // that the fastdiv/fastdiv64 reciprocals agree with hardware / and %.
-// For every skinny shape (n <= 32 < m) it also proves the q segment split
-// and the fused row passes' per-residue gather tables.
+// For every skinny shape (n <= 32 < m) it also proves the q segment split,
+// the fused row passes' per-residue gather tables, and the chunked passes
+// with their prefix spread (chunks of 1-3 rows).
 // Exercises core/equations.hpp and the division policies directly, and of
 // the engines only the schedules and tables it proves, so the algebra is
 // validated independently.
@@ -18,7 +19,7 @@
 //   permcheck --max 512                 # the full acceptance sweep
 //   permcheck --max 64 --plain-divmod   # verify the ablation policy too
 //   permcheck --max 16 --seed-bug       # MUST fail: planted Eq. 24 bug
-//   permcheck --max 16 --seed-bug=inverse|column|fastdiv|residue
+//   permcheck --max 16 --seed-bug=inverse|column|fastdiv|residue|chunk
 
 #include <cstdint>
 #include <cstdio>
@@ -35,7 +36,7 @@ namespace {
 void usage(std::FILE* out) {
   std::fputs(
       "usage: permcheck [--min N] [--max N] [--plain-divmod]\n"
-      "                 [--seed-bug[=row|inverse|column|fastdiv|residue]]\n"
+      "                 [--seed-bug[=row|inverse|column|fastdiv|residue|chunk]]\n"
       "                 [--threads T] [--quiet]\n",
       out);
 }
@@ -109,6 +110,8 @@ int main(int argc, char** argv) {
         opt.inject = inplace::verify::fault::fastdiv_magic;
       } else if (kind == "residue") {
         opt.inject = inplace::verify::fault::residue_off_by_one;
+      } else if (kind == "chunk") {
+        opt.inject = inplace::verify::fault::chunk_reversal;
       } else {
         std::fprintf(stderr, "permcheck: unknown bug kind '%s'\n",
                      kind.c_str());
@@ -164,7 +167,7 @@ int main(int argc, char** argv) {
   std::printf(
       "permcheck: OK — %llu shapes (%llu <= m, n <= %llu), %llu predicates "
       "verified (Eqs. 23/24/26/31-36, stepper, fastdiv, fastdiv64, skinny "
-      "q segment split, skinny residue tables)\n",
+      "q segment split, skinny residue tables, skinny chunked passes)\n",
       static_cast<unsigned long long>(rep.shapes),
       static_cast<unsigned long long>(opt.min_extent),
       static_cast<unsigned long long>(opt.max_extent),
