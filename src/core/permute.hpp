@@ -95,22 +95,23 @@ class shuffle_coverage {
 /// Scratch storage for one in-place transposition.  Holds the paper's
 /// max(m, n)-element temporary vector plus the small fixed-size buffers
 /// used by the cache-aware passes (Sections 4.6-4.7): a head buffer of
-/// width^2 elements, one sub-row and a visited bitmap for the row
-/// permutation.  The skinny engine sizes its own subset (reserve_skinny,
-/// cpu/skinny.hpp): a line of n, plus `team` and `saved` for its parallel
-/// passes and the split lists in `cycles`.
+/// (min(width, m) - 1) * width elements, one sub-row and a visited
+/// bitmap for the row permutation.  The skinny engine sizes its own
+/// subset (reserve_skinny, cpu/skinny.hpp): a line of n, plus `index`,
+/// `team` and `saved` for its parallel passes and the split lists in
+/// `cycles`.
 /// All scratch buffers are 64-byte aligned (util::aligned_vector): the
 /// vector kernels' non-temporal and aligned paths require it, and the
 /// scalar loops assume it (std::assume_aligned below).
 template <typename T>
 struct workspace {
   util::aligned_vector<T> line;    ///< max(m, n) elements (Algorithm 1's tmp)
-  util::aligned_vector<T> head;    ///< width * width elements (fine rotation)
+  util::aligned_vector<T> head;    ///< fine_head_elements (fine rotation)
   util::aligned_vector<T> subrow;  ///< width elements (coarse rotation)
   visited_map visited;                      ///< m flags (cycle discovery)
   cycle_memo cycles;  ///< skinny: split segments of a memo-less pass
   std::vector<std::uint64_t> offsets;       ///< per-column residual shifts
-  util::aligned_vector<std::uint64_t> index;  ///< kernel gather offsets
+  util::aligned_vector<std::uint64_t> index;  ///< skinny: gather offsets
   util::aligned_vector<T> team;   ///< skinny: threads 1.. row + window
   util::aligned_vector<T> saved;  ///< skinny: q segment starts, chunk buffers
 
@@ -119,11 +120,10 @@ struct workspace {
     // funnel — acquire_scratch sizes every workspace through here, once
     // per plan, before the engines run (Theorem 6's O(max(m,n)) bound)
     line.resize(static_cast<std::size_t>(std::max(m, n)));
-    head.resize(static_cast<std::size_t>(width * width));
+    head.resize(static_cast<std::size_t>(fine_head_elements(m, width)));
     subrow.resize(static_cast<std::size_t>(width));
     visited.allocate(m, scratch_rung::full);
     offsets.resize(static_cast<std::size_t>(width));
-    index.resize(static_cast<std::size_t>(width));
     cycles = cycle_memo{};
     // inplace-lint: end-block
     INPLACE_ENSURE(line.size() >= std::max(m, n),
@@ -149,9 +149,10 @@ struct workspace {
   /// column groups (checked-mode capacity precondition for the engines).
   [[nodiscard]] bool fits(std::uint64_t m, std::uint64_t n,
                           std::uint64_t width) const {
-    return line.size() >= std::max(m, n) && head.size() >= width * width &&
+    return line.size() >= std::max(m, n) &&
+           head.size() >= fine_head_elements(m, width) &&
            subrow.size() >= width && visited.size() >= m &&
-           offsets.size() >= width && index.size() >= width;
+           offsets.size() >= width;
   }
 };
 

@@ -5,6 +5,7 @@
 #include "core/contracts.hpp"
 #include "core/errors.hpp"
 #include "cpu/kernels/kernel_set.hpp"
+#include "util/threads.hpp"
 
 namespace inplace {
 
@@ -19,7 +20,25 @@ std::uint64_t transpose_plan::scratch_elements() const {
     return (line + n * n + n) * tile_block;
   }
   const std::uint64_t line = std::max(m, n);
-  return line + block_width * block_width + block_width;
+  return line + fine_head_elements(m, block_width) + block_width;
+}
+
+std::size_t derived_block_bytes(std::uint64_t m, std::uint64_t n,
+                                std::size_t elem_size, engine_kind engine,
+                                int threads) {
+  constexpr std::size_t line_scale = 256;
+  const std::size_t l2 = kernels::probed_caches().l2_bytes;
+  if (engine != engine_kind::blocked || m * line_scale <= l2) {
+    return line_scale;
+  }
+  const std::uint64_t team = static_cast<std::uint64_t>(
+      std::max(1, threads > 0 ? threads : util::hardware_threads()));
+  std::size_t w = line_scale;
+  while (std::max<std::size_t>(1, 2 * w / elem_size) * (2 * w) <= l2 / 4 &&
+         2 * team * (2 * w) <= n * elem_size) {
+    w *= 2;
+  }
+  return w;
 }
 
 transpose_plan make_directed_plan(const void* data, std::size_t m,
@@ -38,12 +57,6 @@ transpose_plan make_directed_plan(const void* data, std::size_t m,
   plan.strength_reduction = opts.strength_reduction;
   plan.threads = opts.threads;
 
-  // Sub-rows approximate one cache line (Section 4.6), never narrower than
-  // four elements so the head-buffer scheme stays worthwhile.
-  plan.block_width = std::max<std::uint64_t>(
-      4, static_cast<std::uint64_t>(
-             std::max<std::size_t>(1, opts.block_bytes) / elem_size));
-
   plan.engine = opts.engine;
   if (plan.engine == engine_kind::automatic) {
     plan.engine = (plan.n <= skinny_col_limit && plan.m > plan.n)
@@ -56,6 +69,19 @@ transpose_plan make_directed_plan(const void* data, std::size_t m,
     // the blocked engine when forced onto an unsuitable shape.
     plan.engine = engine_kind::blocked;
   }
+
+  // Sub-rows of a few cache lines, or page-scale ones for blocked plans
+  // whose line-scale column groups spill L2 (Section 4.6;
+  // derived_block_bytes), never narrower than four elements so the
+  // head-buffer scheme stays worthwhile, and never wider than the
+  // matrix: a group spans at most n columns.
+  const std::size_t block_bytes =
+      opts.block_bytes != 0 ? opts.block_bytes
+                            : derived_block_bytes(plan.m, plan.n, elem_size,
+                                                  plan.engine, plan.threads);
+  plan.block_width = std::min<std::uint64_t>(
+      std::max<std::uint64_t>(4, block_bytes / elem_size),
+      std::max<std::uint64_t>(1, plan.n));
 
   // Hot-path kernel dispatch happens here, once per plan: resolve the
   // requested tier against the environment override, the running CPU and
@@ -105,8 +131,11 @@ transpose_plan make_directed_plan(const void* data, std::size_t m,
   INPLACE_ENSURE(plan.engine != engine_kind::skinny ||
                      (plan.n <= skinny_col_limit && plan.m > plan.n),
                  "skinny engine selected for a non-skinny shape");
-  INPLACE_ENSURE(plan.block_width >= 4,
+  INPLACE_ENSURE(plan.block_width >= std::min<std::uint64_t>(
+                                         4, std::max<std::uint64_t>(1, plan.n)),
                  "sub-row width below the cache-aware minimum");
+  INPLACE_ENSURE(plan.block_width <= std::max<std::uint64_t>(1, plan.n),
+                 "sub-row width wider than the matrix");
   INPLACE_ENSURE(plan.scratch_elements() >= std::max(plan.m, plan.n),
                  "scratch sizing violates Theorem 6's max(m, n) bound");
   INPLACE_ENSURE(plan.tile_block == 0 ||

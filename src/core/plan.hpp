@@ -64,6 +64,15 @@ enum class scratch_rung : std::uint8_t {
   return "unknown";
 }
 
+/// Elements of the fine rotation's head buffer for an m-row group of
+/// `width` columns: its residuals stay below min(width, m), so at most
+/// min(width, m) - 1 sub-rows wrap (core/rotate.hpp, fine_rotate_group).
+[[nodiscard]] constexpr std::uint64_t fine_head_elements(std::uint64_t m,
+                                                         std::uint64_t width) {
+  const std::uint64_t rows = m < width ? m : width;
+  return rows == 0 ? 0 : (rows - 1) * width;
+}
+
 /// User-facing knobs for the public API.
 struct options {
   /// Force a direction; `automatic` applies the paper's heuristic
@@ -80,11 +89,16 @@ struct options {
   /// OpenMP thread count; 0 keeps the runtime default.
   int threads = 0;
 
-  /// Sub-row width in bytes for the cache-aware passes.  Section 4.6
-  /// sizes sub-rows to the GPU's 128-byte cache lines; on CPUs a few
-  /// lines per sub-row amortizes the random-row accesses better (see
-  /// bench/ablation_block_width), hence the 256-byte default.
-  std::size_t block_bytes = 256;
+  /// Sub-row width in bytes for the blocked engine's column passes; 0
+  /// derives it from the shape, the team and the probed caches
+  /// (derived_block_bytes).  Section 4.6 sizes sub-rows to the GPU's
+  /// 128-byte cache lines; on CPUs a few lines amortize the random-row
+  /// hops better, so small plans take 256 bytes.  Once a 256-byte column
+  /// group spills L2, every hop lands on a new page whatever the width,
+  /// and page-scale sub-rows move more bytes per page
+  /// (bench/ablation_block_width).  The planner clamps the width to the
+  /// column count either way.
+  std::size_t block_bytes = 0;
 
   /// Hot-path kernel tier; `automatic` lets runtime CPU detection pick
   /// the best compiled tier (cpu/kernels/).  Pinning tier::scalar is the
@@ -167,6 +181,20 @@ transpose_plan make_directed_plan(const void* data, std::size_t m,
 transpose_plan make_plan_for_shape(std::size_t rows, std::size_t cols,
                                    storage_order order, const options& opts,
                                    std::size_t elem_size);
+
+/// The sub-row width in bytes make_directed_plan derives for an m x n
+/// `engine` plan of `elem_size`-byte elements on `threads` threads (0:
+/// the OpenMP default) when options::block_bytes is 0: 256 bytes, or for
+/// a blocked plan whose 256-byte column group (m * 256 bytes) spills the
+/// probed L2, the widest power of two W >= 256 whose fine window
+/// (max(1, W / elem_size) rows of W bytes) fits a quarter of L2 and that
+/// still leaves every thread of the team two column groups
+/// (2 * threads * W <= n * elem_size).
+[[nodiscard]] std::size_t derived_block_bytes(std::uint64_t m,
+                                              std::uint64_t n,
+                                              std::size_t elem_size,
+                                              engine_kind engine,
+                                              int threads);
 
 /// Shape threshold for the skinny specialization (Section 6.1): problems
 /// whose algorithm-facing column count is at most this use fused passes.

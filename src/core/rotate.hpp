@@ -7,7 +7,8 @@
 //   1. a *coarse* pass rotates the whole group by a common amount k using
 //      analytic cycle following (z = gcd(m, k) cycles of length m/z), and
 //   2. a *fine* pass applies the per-column residuals (all < width) in a
-//      single streaming sweep with a small "head" buffer.
+//      single sweep with a small "head" buffer; on the vector tiers the
+//      sweep is a log2 network of masked row blends.
 //
 // Both passes move sub-rows, not single elements, which is the whole point
 // of Section 4.6.
@@ -70,9 +71,19 @@ void coarse_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
 /// Rows [lo, hi) of the fine pass (below): row i, column jj of the group
 /// gathers from row i + res[jj], read from the matrix below hi and from
 /// `window` (the first max_res rows at or past hi, `width` apart) at or
-/// past it.  `idx` (width entries, res[jj]*n + jj) enables the kernel
-/// path; see fine_rotate_group.  The skinny engine runs one call per slab
-/// of its team, each with its neighbour's first rows as the window.
+/// past it.  The skinny engine runs one call per slab of its team, each
+/// with its neighbour's first rows as the window; the blocked fine pass
+/// uses the scalar loop only (fine_rotate_group).
+///
+/// Kernel path (`ks` and `idx`): rows [lo, hi - max_res) read no window,
+/// and row i's update is the indexed gather row_i[jj] = row_i[idx[jj]]
+/// with idx[jj] = res[jj]*n + jj, constant across rows, so those rows
+/// dispatch to gather_index.  The in-place call is safe under the kernel
+/// contract: slot jj' of row i is written after every read of it (reads
+/// come from res*n + jj stripes at row indices >= i; within the row,
+/// res[jj'] = 0 lanes read slot jj' itself, gathered before the block's
+/// store).  `stream` selects non-temporal row stores, published with one
+/// fence() before returning.
 template <typename T>
 void fine_rotate_rows(T* base, std::uint64_t lo, std::uint64_t hi,
                       std::uint64_t n, std::uint64_t width,
@@ -103,33 +114,29 @@ void fine_rotate_rows(T* base, std::uint64_t lo, std::uint64_t hi,
 }
 
 /// Fine pass: apply per-column residual gather offsets res[jj] (all
-/// strictly less than min(width, m)) to the group in one streaming sweep.
-/// The first max(res) rows are saved in `head` (width*width elements), so
-/// wrapped reads never observe already-overwritten rows.
+/// strictly less than min(width, m)) to the group in one sweep.  The
+/// first max(res) rows are saved in `head` ((min(width, m) - 1) * width
+/// elements, fine_head_elements), so the wrapped reads of the last rows
+/// never observe already-overwritten rows.
 ///
-/// Kernel path: for rows [0, m - max_res) no read wraps, and row i's
-/// update is exactly the indexed gather row_i[jj] = row_i[idx[jj]] with
-/// idx[jj] = res[jj]*n + jj — constant across rows, so it is built once
-/// in `idx` (workspace::index, width entries) and the rows dispatch to
-/// gather_index.  The in-place call is safe under the kernel contract:
-/// slot jj' of row i is written after every read of it (reads come from
-/// res*n + jj stripes at row indices >= i; within the row, res[jj']=0
-/// lanes read slot jj' itself, gathered before the block's store).  The
-/// wrapped tail rows [m - max_res, m) keep the scalar head-buffer loop.
-/// Row i's gather reads rows [i, i + max_res], all but the last already
-/// read for earlier rows, so one new sub-row enters per row.  The sweep
-/// issues no software prefetch: a lookahead prefetch of the entering
-/// sub-row measured slower on page-strided rows, and a per-lane prefetch
-/// of the cached window inside gather_index cost the f32 sweep ~40%
-/// (EXPERIMENTS.md, "Software prefetch in the blocked column passes").  `stream` selects non-temporal row stores (the pass is a
-/// pure streaming sweep; lines are dead until the next pass), published
-/// with one fence() before returning.
+/// Rows [0, m - max_res) read no saved row.  On a tier with a blend
+/// network (4/8-byte elements) they go through kernels::rotate_rows in
+/// one call: blocks of V rows per vector of lanes, log2 V masked blends
+/// in registers, no index table and no per-lane gather (EXPERIMENTS.md,
+/// "Where the blocked column passes wait").  Elsewhere, and for the
+/// wrapped tail rows [m - max_res, m) always, the scalar loop of
+/// fine_rotate_rows gathers row i from rows [i, i + max_res] and the
+/// saved rows.  The network prefetches each entering sub-row whole (its
+/// lines are otherwise first read one at a time, many rows apart); the
+/// scalar loop, which reads every line of a row at once, prefetches
+/// nothing (EXPERIMENTS.md, "Software prefetch in the blocked column
+/// passes").  Nothing streams: the rows a block stores sit next to the
+/// ones later blocks read.
 template <typename T>
 void fine_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
                        std::uint64_t j0, std::uint64_t width,
                        const std::uint64_t* res, T* head,
-                       const kernels::kernel_set* ks = nullptr,
-                       std::uint64_t* idx = nullptr, bool stream = false) {
+                       const kernels::kernel_set* ks = nullptr) {
   std::uint64_t max_res = 0;
   for (std::uint64_t jj = 0; jj < width; ++jj) {
     max_res = std::max(max_res, res[jj]);
@@ -137,9 +144,9 @@ void fine_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
   if (max_res == 0) {
     return;  // Section 4.6: the fine pass is often skippable
   }
-  // The head buffer holds width*width elements, one width-wide sub-row per
-  // saved row; residuals >= min(width, m) would read past it (or past the
-  // matrix) once the sweep wraps.
+  // The head buffer holds min(width, m) - 1 width-wide sub-rows;
+  // residuals >= min(width, m) would read past it (or past the matrix)
+  // once the sweep wraps.
   INPLACE_REQUIRE(max_res < std::min(width, m) || m <= 1,
                   "fine rotation residual outside the cache-aware window "
                   "(Section 4.6)");
@@ -147,12 +154,18 @@ void fine_rotate_group(T* a, std::uint64_t m, std::uint64_t n,
   for (std::uint64_t r = 0; r < max_res; ++r) {
     copy_back(head + r * width, base + r * n, width);
   }
-  if (ks != nullptr && idx != nullptr) {
-    for (std::uint64_t jj = 0; jj < width; ++jj) {
-      idx[jj] = res[jj] * n + jj;
+  std::uint64_t lo = 0;
+  if constexpr (kernels::has_gather_lanes<T>) {
+    if (ks != nullptr && kernels::has_rotate_rows<T>(*ks)) {
+      lo = m - max_res;
+      kernels::rotate_rows(*ks, base, static_cast<std::size_t>(lo),
+                           static_cast<std::size_t>(m),
+                           static_cast<std::size_t>(n),
+                           static_cast<std::size_t>(width), res);
     }
   }
-  fine_rotate_rows(base, 0, m, n, width, res, max_res, head, ks, idx, stream);
+  fine_rotate_rows(base, lo, m, n, width, res, max_res, head, nullptr,
+                   nullptr, false);
 }
 
 /// Cache-aware rotation of one `w`-wide column group at j0 by per-column
@@ -197,8 +210,7 @@ void rotate_group_cache_aware(T* a, std::uint64_t m, std::uint64_t n,
     ws.offsets[jj] = (amount(j0 + jj) % m + m - k) % m;
   }
   coarse_rotate_group(a, m, n, j0, w, k, ws.subrow.data(), ks, stream);
-  fine_rotate_group(a, m, n, j0, w, ws.offsets.data(), ws.head.data(), ks,
-                    ws.index.data(), stream);
+  fine_rotate_group(a, m, n, j0, w, ws.offsets.data(), ws.head.data(), ks);
 }
 
 /// Serial convenience wrapper: rotates every column of the array, group by

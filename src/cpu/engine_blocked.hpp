@@ -100,6 +100,16 @@ class workspace_pool {
   std::vector<workspace<T>> pool_;
 };
 
+/// Column groups a thread takes at a time in the group-parallel passes:
+/// one when a group (m rows of `width` elements) spills L2 — page-scale
+/// groups are few per team (38-66 on the 1.2 GiB keys), and batching
+/// them four at a time left threads idle — else four, which keeps small
+/// in-cache groups on fewer threads.
+template <typename T>
+[[nodiscard]] inline int group_chunk(std::uint64_t m, std::uint64_t width) {
+  return m * width * sizeof(T) > kernels::probed_caches().l2_bytes ? 1 : 4;
+}
+
 /// Parallel cache-aware rotation of all columns by amount(j).  Each
 /// group fences its own streamed stores (rotate_group_cache_aware), so
 /// the parallel region ends with every non-temporal write published.
@@ -114,7 +124,7 @@ void rotate_all_parallel(T* a, std::uint64_t m, std::uint64_t n,
   }
   const auto groups =
       static_cast<std::int64_t>((n + width - 1) / width);
-  util::parallel_for(groups, 4, [&](std::int64_t g) {
+  util::parallel_for(groups, group_chunk<T>(m, width), [&](std::int64_t g) {
     const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
     const std::uint64_t w = std::min(width, n - j0);
     rotate_group_cache_aware(a, m, n, j0, w, amount, pool.local(), ks,
@@ -343,15 +353,15 @@ void c2r_col_shuffle(T* a, const Math& mm, std::uint64_t width,
   const std::uint64_t groups = (n + width - 1) / width;
   const std::uint64_t key = memo_fingerprint(m, n, width, memo_pass::col_c2r);
   cycle_memo* slots = col_memo_slots(memo, groups, key);
-  util::parallel_for(static_cast<std::int64_t>(groups), 4, [&](std::int64_t g) {
+  util::parallel_for(static_cast<std::int64_t>(groups),
+                     group_chunk<T>(m, width), [&](std::int64_t g) {
     workspace<T>& ws = pool.local();
     const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
     const std::uint64_t w = std::min(width, n - j0);
     for (std::uint64_t jj = 0; jj < w; ++jj) {
       ws.offsets[jj] = jj % m;
     }
-    fine_rotate_group(a, m, n, j0, w, ws.offsets.data(), ws.head.data(), ks,
-                      ws.index.data(), stream);
+    fine_rotate_group(a, m, n, j0, w, ws.offsets.data(), ws.head.data(), ks);
     const std::uint64_t shift = j0 % m;
     const auto perm = [&](std::uint64_t i) {
       const std::uint64_t v = mm.q(i) + shift;
@@ -377,7 +387,8 @@ void r2c_col_shuffle(T* a, const Math& mm, std::uint64_t width,
   const std::uint64_t groups = (n + width - 1) / width;
   const std::uint64_t key = memo_fingerprint(m, n, width, memo_pass::col_r2c);
   cycle_memo* slots = col_memo_slots(memo, groups, key);
-  util::parallel_for(static_cast<std::int64_t>(groups), 4, [&](std::int64_t g) {
+  util::parallel_for(static_cast<std::int64_t>(groups),
+                     group_chunk<T>(m, width), [&](std::int64_t g) {
     workspace<T>& ws = pool.local();
     const std::uint64_t j0 = static_cast<std::uint64_t>(g) * width;
     const std::uint64_t w = std::min(width, n - j0);
@@ -393,8 +404,7 @@ void r2c_col_shuffle(T* a, const Math& mm, std::uint64_t width,
     for (std::uint64_t jj = 0; jj < w; ++jj) {
       ws.offsets[jj] = (w - 1 - jj) % m;
     }
-    fine_rotate_group(a, m, n, j0, w, ws.offsets.data(), ws.head.data(), ks,
-                      ws.index.data(), stream);
+    fine_rotate_group(a, m, n, j0, w, ws.offsets.data(), ws.head.data(), ks);
   });
 }
 

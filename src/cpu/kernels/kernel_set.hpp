@@ -2,9 +2,10 @@
 // The hot-path kernel layer: a per-tier vtable of the primitive memory
 // operations the engines execute per element — contiguous copies
 // (temporal and non-temporal), the strength-reduced affine gather/scatter
-// behind the Eq. 24/31 row shuffles, and the indexed row gather behind the
-// Eq. 26/32-34 fine rotation — selected once at plan time by runtime CPU
-// feature detection.
+// behind the Eq. 24/31 row shuffles, the indexed row gather behind the
+// skinny engine's fine rotation, and the masked-blend network behind the
+// blocked engine's Eq. 26/32-34 fine rotation — selected once at plan
+// time by runtime CPU feature detection.
 //
 // Every tier implements the same contract bit-exactly (the operations are
 // pure permutations), so forced-scalar and native runs of any engine
@@ -31,10 +32,11 @@ using u32lane = std::uint32_t __attribute__((may_alias));
 using u64lane = std::uint64_t __attribute__((may_alias));
 
 /// One tier's implementations.  All dst/src pairs must not overlap (the
-/// engines always move matrix <-> scratch or disjoint sub-rows); the only
-/// sanctioned same-buffer use is gather_index_* with dst == src where the
-/// offsets never read a slot an earlier chunk of the same call wrote
-/// (fine_rotate_group's forward sweep guarantees it).
+/// engines always move matrix <-> scratch or disjoint sub-rows); the
+/// sanctioned same-buffer uses are gather_index_* with dst == src where
+/// the offsets never read a slot an earlier chunk of the same call wrote
+/// (the skinny fine_rotate_rows forward sweep guarantees it), and
+/// rotate_rows_*, which works in place by contract.
 struct kernel_set {
   tier t = tier::scalar;
 
@@ -90,6 +92,24 @@ struct kernel_set {
   void (*gather_index_u64)(u64lane* dst, const u64lane* src,
                            const std::uint64_t* offs, std::size_t count,
                            bool stream_dst);
+
+  /// The fine rotation's unwrapped rows as a log2 barrel shift (Section
+  /// 6.2's bound): in a `width`-lane column group whose rows lie `stride`
+  /// lanes apart, row i lane jj takes the value row i + res[jj] held on
+  /// entry, for every i in [0, rows).  Each vector of lanes moves by its
+  /// smallest residual plus per-lane remainders below the lane count V,
+  /// which log2 V masked blends (vpblendm{d,q}, vpblendvb) apply to
+  /// blocks of V rows held in registers; a vector whose residuals span V
+  /// or more takes a scalar loop.  Preconditions: rows + max(res) <=
+  /// avail (rows [0, avail) are readable).  Writes only rows [0, rows)
+  /// and lanes [0, width); allocates nothing.  Null on tiers without a
+  /// blend network (scalar, NEON): callers keep the scalar loop.
+  void (*rotate_rows_u32)(u32lane* base, std::size_t rows, std::size_t avail,
+                          std::size_t stride, std::size_t width,
+                          const std::uint64_t* res) = nullptr;
+  void (*rotate_rows_u64)(u64lane* base, std::size_t rows, std::size_t avail,
+                          std::size_t stride, std::size_t width,
+                          const std::uint64_t* res) = nullptr;
 
   /// In-register tile transpose (the Section 6.2 ladder, generated from
   /// src/simd/static_transpose.hpp's schedules): applies
@@ -268,6 +288,31 @@ inline void tile_pass(const kernel_set& ks, T* data, std::size_t nregs,
     static_assert(sizeof(T) == 8, "tile lanes are 4 or 8 bytes");
     ks.tile_pass_u64(reinterpret_cast<u64lane*>(data), nregs, nblocks,
                      forward);
+  }
+}
+
+/// True when the tier implements rotate_rows for element type T.
+template <typename T>
+[[nodiscard]] inline bool has_rotate_rows(const kernel_set& ks) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8,
+                "blend lanes are 4 or 8 bytes");
+  return (sizeof(T) == 4 ? ks.rotate_rows_u32 != nullptr
+                         : ks.rotate_rows_u64 != nullptr);
+}
+
+/// The fine rotation's unwrapped rows through the tier's blend network
+/// (kernel_set::rotate_rows_*).  Requires has_rotate_rows<T>(ks).
+template <typename T>
+inline void rotate_rows(const kernel_set& ks, T* base, std::size_t rows,
+                        std::size_t avail, std::size_t stride,
+                        std::size_t width, const std::uint64_t* res) {
+  if constexpr (sizeof(T) == 4) {
+    ks.rotate_rows_u32(reinterpret_cast<u32lane*>(base), rows, avail, stride,
+                       width, res);
+  } else {
+    static_assert(sizeof(T) == 8, "blend lanes are 4 or 8 bytes");
+    ks.rotate_rows_u64(reinterpret_cast<u64lane*>(base), rows, avail, stride,
+                       width, res);
   }
 }
 

@@ -221,6 +221,70 @@ void gather_index_u64_avx2(u64lane* dst, const u64lane* src,
   }
 }
 
+/// Vector operations of the rotate_rows network (rotate_rows_blocks):
+/// 8 u32 / 4 u64 lanes per ymm register, vpblendvb under a lane mask
+/// expanded from the mask bits; a group's last partial vector moves
+/// through a stack copy.
+template <std::size_t Bytes>
+struct net_lane;
+template <>
+struct net_lane<4> {
+  using type = u32lane;
+};
+template <>
+struct net_lane<8> {
+  using type = u64lane;
+};
+
+template <std::size_t Bytes>
+struct net_avx2 {
+  using lane = typename net_lane<Bytes>::type;
+  using vec = __m256i;
+  static constexpr std::size_t lanes = 32 / Bytes;
+  static vec zero() { return _mm256_setzero_si256(); }
+  static vec load(const lane* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void store(lane* p, vec v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static vec load_n(const lane* p, std::size_t n) {
+    alignas(32) lane buf[lanes] = {};
+    std::memcpy(buf, p, n * sizeof(lane));
+    return load(buf);
+  }
+  static void store_n(lane* p, vec v, std::size_t n) {
+    alignas(32) lane buf[lanes];
+    store(buf, v);
+    std::memcpy(p, buf, n * sizeof(lane));
+  }
+  static vec make_mask(std::uint32_t bits) {
+    if constexpr (lanes == 8) {
+      const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+      return _mm256_cmpeq_epi32(
+          _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(bits)), bit),
+          bit);
+    } else {
+      const __m256i bit = _mm256_setr_epi64x(1, 2, 4, 8);
+      return _mm256_cmpeq_epi64(
+          _mm256_and_si256(_mm256_set1_epi64x(bits), bit), bit);
+    }
+  }
+  static vec blend(vec a, vec b, vec k) { return _mm256_blendv_epi8(a, b, k); }
+};
+
+void rotate_rows_u32_avx2(u32lane* base, std::size_t rows, std::size_t avail,
+                          std::size_t stride, std::size_t width,
+                          const std::uint64_t* res) {
+  rotate_rows_blocks<net_avx2<4>>(base, rows, avail, stride, width, res);
+}
+
+void rotate_rows_u64_avx2(u64lane* base, std::size_t rows, std::size_t avail,
+                          std::size_t stride, std::size_t width,
+                          const std::uint64_t* res) {
+  rotate_rows_blocks<net_avx2<8>>(base, rows, avail, stride, width, res);
+}
+
 }  // namespace
 
 const kernel_set* avx2_set() {
@@ -233,6 +297,8 @@ const kernel_set* avx2_set() {
     s.gather_affine_u64 = &gather_affine_u64_avx2;
     s.gather_index_u32 = &gather_index_u32_avx2;
     s.gather_index_u64 = &gather_index_u64_avx2;
+    s.rotate_rows_u32 = &rotate_rows_u32_avx2;
+    s.rotate_rows_u64 = &rotate_rows_u64_avx2;
     merge_tile_entry(s, tile_inreg_avx2());
     return s;
   }();

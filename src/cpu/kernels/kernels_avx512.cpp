@@ -300,6 +300,69 @@ void gather_index_u64_avx512(u64lane* dst, const u64lane* src,
   }
 }
 
+/// Vector operations of the rotate_rows network (rotate_rows_blocks):
+/// 16 u32 / 8 u64 lanes per zmm register, vpblendm{d,q} under a k-mask,
+/// masked loads and stores for a group's last partial vector.
+struct net_u32_avx512 {
+  using lane = u32lane;
+  using vec = __m512i;
+  static constexpr std::size_t lanes = 16;
+  static vec zero() { return _mm512_setzero_si512(); }
+  static vec load(const lane* p) { return _mm512_loadu_si512(p); }
+  static void store(lane* p, vec v) { _mm512_storeu_si512(p, v); }
+  static __mmask16 tail(std::size_t n) {
+    return static_cast<__mmask16>((1u << n) - 1);
+  }
+  static vec load_n(const lane* p, std::size_t n) {
+    return _mm512_maskz_loadu_epi32(tail(n), p);
+  }
+  static void store_n(lane* p, vec v, std::size_t n) {
+    _mm512_mask_storeu_epi32(p, tail(n), v);
+  }
+  static __mmask16 make_mask(std::uint32_t bits) {
+    return static_cast<__mmask16>(bits);
+  }
+  static vec blend(vec a, vec b, __mmask16 k) {
+    return _mm512_mask_blend_epi32(k, a, b);
+  }
+};
+
+struct net_u64_avx512 {
+  using lane = u64lane;
+  using vec = __m512i;
+  static constexpr std::size_t lanes = 8;
+  static vec zero() { return _mm512_setzero_si512(); }
+  static vec load(const lane* p) { return _mm512_loadu_si512(p); }
+  static void store(lane* p, vec v) { _mm512_storeu_si512(p, v); }
+  static __mmask8 tail(std::size_t n) {
+    return static_cast<__mmask8>((1u << n) - 1);
+  }
+  static vec load_n(const lane* p, std::size_t n) {
+    return _mm512_maskz_loadu_epi64(tail(n), p);
+  }
+  static void store_n(lane* p, vec v, std::size_t n) {
+    _mm512_mask_storeu_epi64(p, tail(n), v);
+  }
+  static __mmask8 make_mask(std::uint32_t bits) {
+    return static_cast<__mmask8>(bits);
+  }
+  static vec blend(vec a, vec b, __mmask8 k) {
+    return _mm512_mask_blend_epi64(k, a, b);
+  }
+};
+
+void rotate_rows_u32_avx512(u32lane* base, std::size_t rows,
+                            std::size_t avail, std::size_t stride,
+                            std::size_t width, const std::uint64_t* res) {
+  rotate_rows_blocks<net_u32_avx512>(base, rows, avail, stride, width, res);
+}
+
+void rotate_rows_u64_avx512(u64lane* base, std::size_t rows,
+                            std::size_t avail, std::size_t stride,
+                            std::size_t width, const std::uint64_t* res) {
+  rotate_rows_blocks<net_u64_avx512>(base, rows, avail, stride, width, res);
+}
+
 }  // namespace
 
 const kernel_set* avx512_set() {
@@ -314,6 +377,8 @@ const kernel_set* avx512_set() {
     s.scatter_affine_u64 = &scatter_affine_u64_avx512;
     s.gather_index_u32 = &gather_index_u32_avx512;
     s.gather_index_u64 = &gather_index_u64_avx512;
+    s.rotate_rows_u32 = &rotate_rows_u32_avx512;
+    s.rotate_rows_u64 = &rotate_rows_u64_avx512;
     merge_tile_entry(s, tile_inreg_avx512());
     return s;
   }();

@@ -362,14 +362,12 @@ std::size_t skinny_team_rows(std::size_t n, std::size_t elem,
 /// ladder nor the aligned allocator.  After one warm run (which fills the
 /// arena's cycle memo) the failing execution leaves the arena's retained
 /// bytes unchanged, so no scratch or leader list grows during rollback.
+/// `names` lists the engine's C2R boundaries, then its R2C ones.
 template <typename T>
-void check_team_rollback(std::size_t m, std::size_t n, const options& opts) {
+void check_boundary_rollback(std::size_t m, std::size_t n,
+                             const options& opts,
+                             const char* const (&names)[2][3]) {
   for (const direction dir : {direction::c2r, direction::r2c}) {
-    const char* names[2][3] = {
-        {"skinny.c2r.after_fused_row", "skinny.c2r.after_rotation",
-         "skinny.c2r.after_permute"},
-        {"skinny.r2c.after_permute", "skinny.r2c.after_rotation",
-         "skinny.r2c.after_fused_row"}};
     for (const char* name : names[dir == direction::c2r ? 0 : 1]) {
       SCOPED_TRACE(name);
       const auto src = util::iota_matrix<T>(m, n);
@@ -392,6 +390,16 @@ void check_team_rollback(std::size_t m, std::size_t n, const options& opts) {
           << "rollback grew the arena's scratch or cycle lists";
     }
   }
+}
+
+template <typename T>
+void check_team_rollback(std::size_t m, std::size_t n, const options& opts) {
+  const char* const names[2][3] = {
+      {"skinny.c2r.after_fused_row", "skinny.c2r.after_rotation",
+       "skinny.c2r.after_permute"},
+      {"skinny.r2c.after_permute", "skinny.r2c.after_rotation",
+       "skinny.r2c.after_fused_row"}};
+  check_boundary_rollback<T>(m, n, opts, names);
 }
 
 TEST(Rollback, SkinnyTeamRestoresAtEveryBoundaryAllocatingNothing) {
@@ -421,6 +429,26 @@ TEST(SkinnyChunked, TeamRestoresAtEveryBoundaryAllocatingNothing) {
       (skinny_team_rows(3, sizeof(double), 1) + f64 - 1) / f64 * f64 + 2;
   ASSERT_TRUE(detail::skinny_chunk_layout<double>(m3, 3).chunked());
   check_team_rollback<double>(m3, 3, opts);
+}
+
+TEST(Rollback, PageScaleBlockedRestoresAtEveryBoundaryAllocatingNothing) {
+  // Page-scale column groups (the width large blocked plans derive):
+  // several groups per matrix and a ragged last one, on gcd-rich shapes
+  // so the pre-rotation (and its boundary) runs.  The fine pass's blend
+  // network keeps its lane masks on the stack and its wrapped tail in the
+  // workspace's head buffer, so neither the forward run nor its rollback
+  // allocates.
+  options opts;
+  opts.engine = engine_kind::blocked;
+  opts.block_bytes = 2048;
+  const char* const names[2][3] = {
+      {"blocked.c2r.after_prerotate", "blocked.c2r.after_row_shuffle",
+       "blocked.c2r.after_col_shuffle"},
+      {"blocked.r2c.after_col_shuffle", "blocked.r2c.after_row_shuffle",
+       "blocked.r2c.after_prerotate"}};
+  check_boundary_rollback<float>(780, 660, opts, names);
+  check_boundary_rollback<double>(780, 660, opts, names);
+  check_boundary_rollback<double>(1040, 616, opts, names);
 }
 
 TEST(Rollback, TileTeamRestoresAtEveryBoundaryAllocatingNothing) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -520,6 +522,165 @@ TEST_P(KernelTiers, GatherIndexInPlaceForwardSweep) {
       ASSERT_EQ(buf64[j], src64[static_cast<std::size_t>(offs[j])])
           << "u64 in-place stream=" << stream << " j=" << j;
     }
+  }
+}
+
+// --- the fine rotation's blend network ---------------------------------------
+//
+// fine_rotate_group runs a group's unwrapped rows through the tier's
+// rotate_rows network where the tier has one (AVX2, AVX-512) and through
+// the scalar loop elsewhere; every tier must match rotate_column_naive
+// bit for bit.
+
+/// The residual families the engines feed the fine pass of a w-wide
+/// group at column j0: the fused C2R shuffle's jj, the fused R2C
+/// shuffle's w - 1 - jj, and the pre-rotation's floor(j/b) - k and its
+/// inverse after rotate_group_cache_aware's normalization.
+std::vector<std::vector<std::uint64_t>> engine_residuals(std::uint64_t w,
+                                                         std::uint64_t j0,
+                                                         std::uint64_t b) {
+  std::vector<std::vector<std::uint64_t>> out(4,
+                                              std::vector<std::uint64_t>(w));
+  for (std::uint64_t jj = 0; jj < w; ++jj) {
+    out[0][jj] = jj;
+    out[1][jj] = w - 1 - jj;
+    out[2][jj] = (j0 + jj) / b - j0 / b;
+    out[3][jj] = (j0 + w - 1) / b - (j0 + jj) / b;
+  }
+  return out;
+}
+
+/// `a` with column j0 + jj rotated by res[jj] through rotate_column_naive.
+template <typename T>
+std::vector<T> naive_rotated(std::vector<T> a, std::uint64_t m,
+                             std::uint64_t n, std::uint64_t j0,
+                             const std::vector<std::uint64_t>& res) {
+  std::vector<T> tmp(m);
+  for (std::uint64_t jj = 0; jj < res.size(); ++jj) {
+    detail::rotate_column_naive(a.data(), m, n, j0 + jj, res[jj], tmp.data());
+  }
+  return a;
+}
+
+template <typename T>
+std::vector<T> random_lanes(std::size_t count, std::uint64_t seed) {
+  util::xoshiro256 rng(seed);
+  std::vector<T> v(count);
+  for (auto& x : v) {
+    x = static_cast<T>(rng());
+  }
+  return v;
+}
+
+/// Every engine residual family on groups of w lanes (not a multiple of
+/// any vector width, one vector, several, and two network tiles), with
+/// guard columns on both sides, for m from max_res + 1 (every row but
+/// the first wraps) through row counts that are not multiples of the
+/// network's 2^K-row window.
+template <typename T>
+void check_fine_group_against_naive(const kernel_set& ks) {
+  for (const std::uint64_t w : {5u, 13u, 16u, 37u, 100u, 256u, 1100u}) {
+    const std::uint64_t j0 = 5;
+    const std::uint64_t n = j0 + w + 6;
+    for (const std::uint64_t b : {3u, 7u}) {
+      for (const auto& res : engine_residuals(w, j0, b)) {
+        const std::uint64_t max_res = *std::max_element(res.begin(), res.end());
+        const std::uint64_t span = std::bit_ceil(max_res + 1);
+        std::vector<std::uint64_t> rows = {max_res + 1, max_res + 2,
+                                           max_res + 41};
+        if (w <= 256) {
+          rows.push_back(2 * span + 3);
+          rows.push_back(4 * span + 5);
+        }
+        for (const std::uint64_t m : rows) {
+          const auto src = random_lanes<T>(m * n, m * 977 + w * 31 + b);
+          const auto want = naive_rotated(src, m, n, j0, res);
+          auto got = src;
+          util::aligned_vector<T> head(fine_head_elements(m, w));
+          detail::fine_rotate_group(got.data(), m, n, j0, w, res.data(),
+                                    head.data(), &ks);
+          ASSERT_EQ(got, want) << kernels::tier_name(ks.t) << " "
+                               << sizeof(T) << "-byte w=" << w
+                               << " max_res=" << max_res << " m=" << m;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelTiers, FineGroupMatchesNaiveRotationU32) {
+  check_fine_group_against_naive<std::uint32_t>(kernels::set_for(GetParam()));
+}
+
+TEST_P(KernelTiers, FineGroupMatchesNaiveRotationU64) {
+  check_fine_group_against_naive<std::uint64_t>(kernels::set_for(GetParam()));
+}
+
+/// The rotate_rows contract on its own: rows [0, rows) match the naive
+/// rotation, while every later row and the lanes outside the group keep
+/// their values, with more readable rows than the residuals need.
+template <typename T>
+void check_rotate_rows_contract(const kernel_set& ks) {
+  if (!kernels::has_rotate_rows<T>(ks)) {
+    return;  // the scalar loop is the whole fine pass on this tier
+  }
+  const std::uint64_t w = 45;
+  const std::uint64_t j0 = 2;
+  const std::uint64_t n = 53;
+  for (const auto& res : engine_residuals(w, j0, 4)) {
+    const std::uint64_t max_res = *std::max_element(res.begin(), res.end());
+    for (const std::uint64_t rows : {1u, 9u, 70u}) {
+      const std::uint64_t avail = rows + max_res + 3;
+      const std::uint64_t m = avail + 2;
+      const auto src = random_lanes<T>(m * n, rows * 13 + max_res);
+      auto got = src;
+      kernels::rotate_rows(ks, got.data() + j0, rows, avail, n, w,
+                           res.data());
+      for (std::uint64_t i = 0; i < m; ++i) {
+        for (std::uint64_t j = 0; j < n; ++j) {
+          const bool lane = j >= j0 && j < j0 + w;
+          if (lane && i < rows) {
+            ASSERT_EQ(got[i * n + j], src[(i + res[j - j0]) * n + j])
+                << kernels::tier_name(ks.t) << " row " << i << " lane "
+                << j - j0 << " max_res=" << max_res;
+          } else {
+            ASSERT_EQ(got[i * n + j], src[i * n + j])
+                << kernels::tier_name(ks.t) << " touched row " << i
+                << " col " << j << " max_res=" << max_res;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelTiers, RotateRowsKeepsItsContract) {
+  const kernel_set& ks = kernels::set_for(GetParam());
+  check_rotate_rows_contract<std::uint32_t>(ks);
+  check_rotate_rows_contract<std::uint64_t>(ks);
+}
+
+TEST_P(KernelTiers, GroupRotationFallsBackWhenResidualsSpanTheWindow) {
+  // Amounts whose residual span reaches min(w, m) cannot go through the
+  // fine pass's window: rotate_group_cache_aware rotates those columns
+  // one by one, on every tier.
+  const kernel_set& ks = kernels::set_for(GetParam());
+  const std::uint64_t m = 150;
+  const std::uint64_t n = 96;
+  const std::uint64_t w = 32;
+  for (const std::uint64_t step : {1u, 5u, 40u}) {
+    const auto amount = [&](std::uint64_t j) { return j * step % m; };
+    std::vector<std::uint64_t> res(n);
+    for (std::uint64_t j = 0; j < n; ++j) {
+      res[j] = amount(j);
+    }
+    const auto src = random_lanes<std::uint32_t>(m * n, step);
+    const auto want = naive_rotated(src, m, n, 0, res);
+    auto got = src;
+    detail::workspace<std::uint32_t> ws;
+    ws.reserve(m, n, w);
+    detail::rotate_columns_blocked(got.data(), m, n, w, amount, ws, &ks);
+    ASSERT_EQ(got, want) << kernels::tier_name(ks.t) << " step " << step;
   }
 }
 

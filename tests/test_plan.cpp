@@ -118,7 +118,7 @@ TEST(Plan, ScratchBoundIsTheoremSix) {
   const auto p = make_plan(data, 5000, 300, storage_order::row_major, {},
                            8);
   EXPECT_EQ(p.scratch_elements(),
-            5000 + p.block_width * p.block_width + p.block_width);
+            5000 + (p.block_width - 1) * p.block_width + p.block_width);
 }
 
 TEST(Plan, DirectedPlanKeepsExtentsVerbatim) {

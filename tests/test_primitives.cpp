@@ -184,7 +184,8 @@ TEST(Primitives, FineRotateEqualsNaive) {
 // --- The fine sweep on page-strided rows ---------------------------------
 //
 // Rows of n * sizeof(T) >= 4 KiB put every sub-row of a column group on
-// its own page.  The native kernel set gathers each unwrapped row in place
+// its own page.  The native kernel set moves a group's unwrapped rows
+// through its blend network (rotate_rows) and a slab's in place
 // (gather_index); 2-byte elements take the scalar loop.  m runs from
 // max_res + 1 (every row but the first wraps into the head buffer) to
 // max_res + 11, and the group starts at an odd column, so sub-rows
@@ -254,10 +255,8 @@ void check_fine_sweep_page_strided(std::uint64_t w) {
         const auto src = random_matrix<T>(m, n, m * 131 + max_res);
         const auto want = fine_model(src, m, n, j0, w, res);
         auto a = src;
-        std::vector<std::uint64_t> group_idx(w);
-        util::aligned_vector<T> head(w * w);
-        fine_rotate_group(a.data(), m, n, j0, w, res.data(), head.data(), &ks,
-                          group_idx.data(), stream);
+        util::aligned_vector<T> head(fine_head_elements(m, w));
+        fine_rotate_group(a.data(), m, n, j0, w, res.data(), head.data(), &ks);
         ASSERT_EQ(a, want) << "group: " << sizeof(T) << "-byte, " << m << "x"
                            << n << " w=" << w << " max_res=" << max_res
                            << " stream=" << stream;
@@ -365,7 +364,7 @@ TEST(Primitives, WorkspaceReserveSizes) {
   workspace<double> ws;
   ws.reserve(100, 30, 8);
   EXPECT_EQ(ws.line.size(), 100u);  // max(m, n)
-  EXPECT_EQ(ws.head.size(), 64u);   // width^2
+  EXPECT_EQ(ws.head.size(), 56u);   // (min(width, m) - 1) * width
   EXPECT_EQ(ws.subrow.size(), 8u);
   EXPECT_EQ(ws.visited.size(), 100u);
   EXPECT_EQ(ws.offsets.size(), 8u);

@@ -274,7 +274,8 @@ TEST(Complexity, ScratchIsBoundedByMaxExtentPlusConstants) {
       make_plan(reinterpret_cast<void*>(0x1), 3000, 500,
                 storage_order::row_major, opts, sizeof(double));
   EXPECT_LE(plan.scratch_elements(),
-            3000 + plan.block_width * plan.block_width + plan.block_width);
+            3000 + (plan.block_width - 1) * plan.block_width +
+                plan.block_width);
 }
 
 // --- AoS <-> SoA ------------------------------------------------------------

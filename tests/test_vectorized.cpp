@@ -272,6 +272,55 @@ TEST(KernelTierSweep, StreamingStoresForcedOnWidth16) {
   streaming_sweep<util::vec4f>();
 }
 
+/// Page-scale column groups (options::block_bytes = 2048, the width the
+/// planner derives for large blocked plans) on small coprime and
+/// gcd-rich shapes, through every available tier forced by
+/// INPLACE_FORCE_KERNEL_TIER, in both directions: several groups per
+/// matrix, a ragged last group, and fine passes whose residual windows
+/// span hundreds of rows, without a GiB buffer.
+template <typename T>
+void page_scale_sweep() {
+  const struct {
+    std::size_t m, n;
+  } shapes[] = {{601, 530}, {530, 601}, {780, 660}, {660, 780}, {1040, 88}};
+  for (const tier t : available_tiers()) {
+    const env_guard force("INPLACE_FORCE_KERNEL_TIER", kernels::tier_name(t));
+    for (const options::algorithm alg :
+         {options::algorithm::c2r, options::algorithm::r2c}) {
+      options opts;
+      opts.alg = alg;
+      opts.engine = engine_kind::blocked;
+      opts.block_bytes = 2048;
+      for (const auto& s : shapes) {
+        std::vector<T> a(s.m * s.n);
+        fill_unique(a);
+        const std::vector<T> want = util::reference_transpose(
+            std::span<const T>(a), s.m, s.n);
+        transposer<T> tr(s.m, s.n, storage_order::row_major, opts);
+        ASSERT_EQ(tr.plan().ktier, t);
+        ASSERT_EQ(tr.plan().block_width,
+                  std::min<std::uint64_t>(2048 / sizeof(T), tr.plan().n));
+        tr(a.data());
+        ASSERT_EQ(-1, util::first_mismatch(std::span<const T>(a),
+                                           std::span<const T>(want)))
+            << kernels::tier_name(t) << " "
+            << (alg == options::algorithm::c2r ? "c2r" : "r2c") << " "
+            << s.m << "x" << s.n << " elem=" << sizeof(T);
+      }
+    }
+  }
+}
+
+TEST(KernelTierSweep, PageScaleGroupsWidth2) {
+  page_scale_sweep<std::uint16_t>();
+}
+TEST(KernelTierSweep, PageScaleGroupsWidth4) {
+  page_scale_sweep<std::uint32_t>();
+}
+TEST(KernelTierSweep, PageScaleGroupsWidth8) {
+  page_scale_sweep<std::uint64_t>();
+}
+
 TEST(KernelTierSweep, EnvOverrideSteersPlanning) {
   // Fresh transposer instances (not the default_context cache): the env
   // override applies at plan time and is deliberately not part of the

@@ -126,7 +126,7 @@ for entry in asan ubsan tsan tsa; do
     tsan)
       TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp:history_size=7" \
         run_matrix_entry tsan thread \
-        'Integration|Transpose|Executor|Skinny|Threading|Context|PlanCache|Kernel|permcheck|Permcheck|Async|ArenaConsistency|Sched|soak_smoke|Permute|Tensor' \
+        'Integration|Transpose|Executor|Skinny|Threading|Context|PlanCache|Kernel|permcheck|Permcheck|Async|ArenaConsistency|Sched|soak_smoke|Permute|Tensor|Rollback' \
         || status=1
       ;;
     tsa)
