@@ -144,16 +144,6 @@ struct workspace {
            (offsets.capacity() + index.capacity()) * sizeof(std::uint64_t) +
            visited.bytes() + cycles.bytes();
   }
-
-  /// True when this workspace can serve an m x n problem with `width`-wide
-  /// column groups (checked-mode capacity precondition for the engines).
-  [[nodiscard]] bool fits(std::uint64_t m, std::uint64_t n,
-                          std::uint64_t width) const {
-    return line.size() >= std::max(m, n) &&
-           head.size() >= fine_head_elements(m, width) &&
-           subrow.size() >= width && visited.size() >= m &&
-           offsets.size() >= width;
-  }
 };
 
 /// Distinguishes which pass family discovered a memo: the same (m, n,

@@ -50,7 +50,7 @@ enum class fault : int {
   column_shuffle_drift,  ///< Eq. 33: q(i) drifted by +1
   fastdiv_magic,         ///< reciprocal computed without the +1 rounding
   residue_off_by_one,    ///< skinny row i gathers via residue (i+1) mod n
-  chunk_reversal,        ///< skinny chunk row x takes row yb n + x, not n-1-x
+  chunk_reversal,        ///< skinny block transpose writes field x to run n-1-x
 };
 
 /// Outcome of a verification sweep.
@@ -636,23 +636,23 @@ bool check_residue_tables(const Math& mm, fault f, report& rep) {
 }
 
 /// Proves, for one skinny shape, the chunked form of the skinny passes
-/// (cpu/skinny.hpp, DESIGN §17) for chunks of B = 1, 2, 3 rows wherever
+/// (cpu/skinny.hpp, DESIGN §17.1) for chunks of B = 1, 2, 3 rows wherever
 /// n B <= m (the engine derives B from the element size, so small shapes
 /// stand in for its page-sized chunks), with m' = n B ⌊m / (n B)⌋:
-///   1. on the m' x n prefix, Eq. 33's q shifted by n - 1 factors as
-///      q(i) + n - 1 ≡ Y B n + chunk_source_row(n, x, yb) (mod m') for
-///      i = x a' + Y B + yb (a' = m' / n), chunk_target_row inverts the
-///      row map, and chunk x K + Y of the result takes chunk Y n + x
-///      (chunk_grid_source, inverted by chunk_grid_source_inv);
+///   1. on the m' x n prefix, the per-block transpose (chunk_block_slot)
+///      followed by the walk of the K x n chunk grid (chunk x K + Y takes
+///      chunk Y n + x: chunk_grid_source, inverted by
+///      chunk_grid_source_inv) sends structure i's field x to x m' + i,
+///      out-of-place AoS -> SoA;
 ///   2. the engine's spread (chunk_spread) sends the prefix's n x m'
 ///      result and the s tail structures to the n x m result, and its
 ///      gather inverts it;
-///   3. the engine's chunked C2R passes — the fused pass on the prefix,
-///      chunk_rotate, chunk_permute — send slot labels to the out-of-place
-///      AoS -> SoA transposition, and its R2C passes bring them back.
+///   3. the engine's chunked C2R passes — the per-block transposes
+///      (skinny_fused_scatter_as), the identity p (skinny_rotate_p_as),
+///      chunk_permute — send slot labels to the out-of-place AoS -> SoA
+///      transposition, and its R2C passes bring them back.
 /// (2) and (3) run the engine's code on one slab and on three.  With
-/// fault::chunk_reversal, (1) takes row yb n + x: the n - 1 - x reversal
-/// dropped.
+/// fault::chunk_reversal, (1) writes field x to run n - 1 - x.
 template <typename Math>
 bool check_chunks(const Math& mm, fault f, report& rep) {
   namespace ipd = inplace::detail;
@@ -665,6 +665,7 @@ bool check_chunks(const Math& mm, fault f, report& rep) {
     const ipd::chunk_layout cl = ipd::make_chunk_layout(m, n, rows);
     const std::uint64_t k = cl.chunks;
     const std::uint64_t mp = cl.prefix;
+    const std::uint64_t bn = rows * n;
     const std::string tag = detail::shape_tag(m, n) + ", chunks of " +
                             std::to_string(rows) + " rows";
     const auto fail = [&](const std::string& what) {
@@ -672,31 +673,32 @@ bool check_chunks(const Math& mm, fault f, report& rep) {
       return false;
     };
 
-    // 1. The factorization on the prefix.
-    const transpose_math<fast_divmod> pm(mp, n);
-    const std::uint64_t ap = mp / n;
+    // 1. Block transpose, then the chunk walk, on the prefix.
     for (std::uint64_t i = 0; i < mp; ++i) {
-      const std::uint64_t x = i / ap;
-      const std::uint64_t y = i % ap / rows;
-      const std::uint64_t yb = i % rows;
-      const std::uint64_t src = f == fault::chunk_reversal
-                                    ? yb * n + x
-                                    : ipd::chunk_source_row(n, x, yb);
-      rep.checks += 3;
-      if ((pm.q(i) + n - 1) % mp != y * rows * n + src) {
-        return fail("Eq. 33's q + (n - 1) at row " + std::to_string(i) +
-                    " is not chunk " + std::to_string(y) + "'s row " +
-                    std::to_string(src));
-      }
-      if (ipd::chunk_target_row(n, rows, src) != x * rows + yb) {
-        return fail("chunk_target_row does not invert chunk_source_row at "
-                    "row " + std::to_string(i));
-      }
-      const std::uint64_t c = x * k + y;
-      if (ipd::chunk_grid_source(k, n, c) != y * n + x ||
-          ipd::chunk_grid_source_inv(k, n, y * n + x) != c) {
-        return fail("the chunk grid walk misplaces chunk " +
-                    std::to_string(c));
+      const std::uint64_t y = i / bn;
+      const std::uint64_t t = i % bn;
+      for (std::uint64_t x = 0; x < n; ++x) {
+        const std::uint64_t run = f == fault::chunk_reversal ? n - 1 - x : x;
+        const std::uint64_t slot =
+            y * bn * n + ipd::chunk_block_slot(n, rows, t, run);
+        const std::uint64_t from = slot / bn;
+        const std::uint64_t to = ipd::chunk_grid_source_inv(k, n, from);
+        rep.checks += 3;
+        if (slot / (bn * n) != y) {
+          return fail("the block transpose moves structure " +
+                      std::to_string(i) + "'s field " + std::to_string(x) +
+                      " out of its block");
+        }
+        if (ipd::chunk_grid_source(k, n, to) != from) {
+          return fail("the chunk grid walk does not invert at chunk " +
+                      std::to_string(from));
+        }
+        if (to * bn + slot % bn != x * mp + i) {
+          return fail("the block transpose and chunk walk put structure " +
+                      std::to_string(i) + "'s field " + std::to_string(x) +
+                      " at " + std::to_string(to * bn + slot % bn) +
+                      ", not AoS -> SoA's " + std::to_string(x * mp + i));
+        }
       }
     }
 
@@ -738,7 +740,7 @@ bool check_chunks(const Math& mm, fault f, report& rep) {
       ipd::no_block_transform block;
       ipd::skinny_fused_scatter_as(a.data(), full, cl, ws, nullptr, false,
                                    block);
-      ipd::chunk_rotate(a.data(), m, n, cl, ws, nullptr, false, true);
+      ipd::skinny_rotate_p_as(a.data(), full, cl, ws, nullptr, false);
       ipd::chunk_permute(a.data(), m, n, cl, ws, nullptr, nullptr, false,
                          true);
       for (std::uint64_t fld = 0; fld < n; ++fld) {
@@ -755,7 +757,7 @@ bool check_chunks(const Math& mm, fault f, report& rep) {
       }
       ipd::chunk_permute(a.data(), m, n, cl, ws, nullptr, nullptr, false,
                          false);
-      ipd::chunk_rotate(a.data(), m, n, cl, ws, nullptr, false, false);
+      ipd::skinny_rotate_p_inv_as(a.data(), full, cl, ws, nullptr, false);
       ipd::skinny_fused_gather_as(a.data(), full, cl, ws, nullptr, false,
                                   block);
       for (std::uint64_t l = 0; l < m * n; ++l) {

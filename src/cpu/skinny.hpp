@@ -19,26 +19,26 @@
 // the fused pass sweeping bottom-up.
 //
 // From the threshold up the passes keep their names and inverses but run
-// the chunked form (DESIGN §17) on the m' = n B ⌊m / (n B)⌋-row prefix,
-// where n | m' (c = n, b = 1); the s = m - m' tail structures wait in the
-// buffer until pass 3:
-//   1. the fused pass on the prefix (tail rows only take the block hook),
-//   2. p with q's n - 1 row shift absorbed (residuals n - 1 - j), fused
-//      with a B x n -> n x B row transpose per block of B n rows: one
-//      bottom-up sweep staging each block in an in-cache buffer,
+// the chunked form (DESIGN §17.1) on the m' = n B ⌊m / (n B)⌋-row prefix;
+// the s = m - m' tail structures wait in place until pass 3:
+//   1. a per-block transpose: each block of B n structures is staged in
+//      an in-cache buffer and written back as its n field runs of B n
+//      elements (tail rows only take the block hook),
+//   2. the identity: pass 1 already put every prefix element where p
+//      and the row permutation's shift would,
 //   3. one cycle walk over the K x n grid of B-row chunks (>= 4 KiB each,
 //      K = m' / (n B)), then the spread: each field f of the n x m'
 //      result moves right by f s, back to front, and the tail's fields
 //      fill the s-wide gaps.
-// That is 8 element touches instead of 6 (a Theorem 6 deviation, DESIGN
-// §17): the row walk moved one 28-512 byte row per hop at ~0.1 of a copy,
-// the chunk walk moves pages.  R2C mirrors it: gather the tail and close
-// the gaps front to back, walk q^-1's chunks, un-transpose each block
-// fused with p^-1 top-down, then the fused pass on the prefix.
+// That is Theorem 6's 6 element touches: the row walk moved one 28-512
+// byte row per hop at ~0.1 of a copy, the chunk walk moves pages.  R2C
+// mirrors it: gather the tail and close the gaps front to back, walk
+// q^-1's chunks, then un-transpose each block.
 //
 // Every pass runs on the active OpenMP team (Sections 3-4: every row and
-// column operation is independent).  The sweeps split the rows (or
-// blocks, or the spread's elements) into one contiguous slab per thread;
+// column operation is independent).  The sweeps split the rows (or the
+// spread's elements) into one contiguous slab per thread, and the team
+// claims the per-block transposes one block at a time;
 // before the team starts, each slab's boundary window — what a neighbour
 // overwrites that the slab still reads — is saved in that slab's scratch,
 // so "wrap at m" becomes "wrap at the slab edge".  The cycle walks run in
@@ -48,11 +48,11 @@
 // slab; problems under skinny_team_floor_bytes() run so, opening no
 // parallel region.
 //
-// The fused passes' tables: by Eq. 24, d'_i(j) = ((i + ⌊j/b⌋) mod m +
-// jm) mod n depends on i only through i mod n on every row whose sources
-// i + ⌊j/b⌋ stay inside its slab (no window read, hence no wrap at m), so
-// n rows of n gather offsets each, filled into ws.index (n x n) before
-// the team starts, describe all of those rows.  The fewer than c rows per
+// The row form's fused passes' tables: by Eq. 24, d'_i(j) = ((i + ⌊j/b⌋)
+// mod m + jm) mod n depends on i only through i mod n on every row whose
+// sources i + ⌊j/b⌋ stay inside its slab (no window read, hence no wrap at
+// m), so n rows of n gather offsets each, filled into ws.index (n x n)
+// before the team starts, describe all of those rows.  The fewer than c rows per
 // slab next to its window keep the element-by-element index stepping.
 //
 // Each pass is a standalone helper that decides its path from (m, n,
@@ -174,10 +174,12 @@ inline constexpr std::uint64_t skinny_chunk_bytes = 4096;
 /// 4-vCPU AVX-512 host (2 MiB L2, 300 MiB shared L3; EXPERIMENTS.md,
 /// "Skinny chunk walk: where it pays"): rows of 24-40 bytes gained
 /// 1.02-2.2x at every size from 32 KiB to 1.2 GiB, on one thread and on
-/// four; 48-64 byte rows lost up to 0.55x at 128 KiB; 128-192 byte rows
-/// and the tile plans' 512 byte chunk rows lost up to 0.68x in cache,
-/// broke even at 64 MiB and gained 1.03-1.45x from 128 MiB up.
-inline constexpr std::uint64_t skinny_chunk_row_bytes = 40;
+/// four; with pass 1 as the per-block transpose, 48-64 byte rows gained
+/// 1.01-3.9x at every chunked size from 32 KiB to 64 MiB on both teams,
+/// while 128-192 byte rows and the tile plans' 512 byte chunk rows still
+/// lost up to 0.74x on one thread between 128 KiB and 64 MiB and gained
+/// from 128 MiB up.
+inline constexpr std::uint64_t skinny_chunk_row_bytes = 64;
 inline constexpr std::uint64_t skinny_chunk_floor_bytes = 128ull << 20;
 
 /// The chunked form of an m x n skinny problem: chunks of `rows` (B) rows,
@@ -216,25 +218,18 @@ template <typename T>
   return make_chunk_layout(m, n, rows);
 }
 
-/// Row x B + yb of a block's transposed layout holds row yb n + (n-1-x)
-/// of the block's shifted rows A' — Eq. 33's q plus n - 1 on the prefix,
-/// written with i = x a' + Y B + yb (a' = m' / n), restricted to one block
-/// of B n rows.  chunk_target_row inverts it.
-[[nodiscard]] constexpr std::uint64_t chunk_source_row(std::uint64_t n,
-                                                       std::uint64_t x,
-                                                       std::uint64_t yb) {
-  return yb * n + (n - 1 - x);
-}
-
-/// The transposed-layout row that holds A' row k of its block, k < B n.
-[[nodiscard]] constexpr std::uint64_t chunk_target_row(std::uint64_t n,
+/// The slot of structure t's field x in its transposed block: the block's
+/// B n structures become n field runs of B n elements (t < B n, x < n).
+/// The chunk walk then places each run as one of the K x n chunks.
+[[nodiscard]] constexpr std::uint64_t chunk_block_slot(std::uint64_t n,
                                                        std::uint64_t rows,
-                                                       std::uint64_t k) {
-  return (n - 1 - k % n) * rows + k / n;
+                                                       std::uint64_t t,
+                                                       std::uint64_t x) {
+  return x * rows * n + t;
 }
 
 /// The chunk walk's gather: chunk x K + Y of the prefix's result takes
-/// chunk Y n + x of the transposed blocks — a K x n -> n x K transpose of
+/// chunk Y n + x of the transposed blocks: a K x n -> n x K transpose of
 /// B-row chunks.  chunk_grid_source_inv is its inverse.
 [[nodiscard]] constexpr std::uint64_t chunk_grid_source(std::uint64_t k,
                                                         std::uint64_t n,
@@ -248,12 +243,12 @@ template <typename T>
   return i % n * k + i / n;
 }
 
-/// Elements of one slot's block buffer: a block of B n rows plus the n - 1
-/// rows next to it, rounded so the next buffer starts 64-byte aligned.
+/// Elements of one slot's block buffer: a block of B n rows, rounded so
+/// the next buffer starts 64-byte aligned.
 template <typename T>
 [[nodiscard]] constexpr std::uint64_t chunk_buffer_stride(
     std::uint64_t n, const chunk_layout& cl) {
-  return skinny_row_stride<T>((cl.rows * n + n - 1) * n);
+  return skinny_row_stride<T>(cl.rows * n * n);
 }
 
 /// Hops per segment of a split walk over `count` chunks:
@@ -271,9 +266,9 @@ template <typename T>
 }
 
 /// ws.saved elements the chunked passes need with `slots` team slots:
-/// one block buffer per slot, then the segment-start chunks (passes 2 and
-/// 3's walk); or the s x n tail and one window of (n - 1) s elements per
-/// slab (the spread, after the walk) — never both at once.
+/// one block buffer per slot (pass 1's transpose), then the segment-start
+/// chunks (pass 3's walk); or the s x n tail and one window of (n - 1) s
+/// elements per slab (the spread, after the walk) — never both at once.
 template <typename T>
 [[nodiscard]] constexpr std::uint64_t chunk_saved_elems(
     std::uint64_t n, const chunk_layout& cl, std::uint64_t slots) {
@@ -286,10 +281,11 @@ template <typename T>
 /// Sizes a skinny workspace for an m x n problem on `slots` team slots in
 /// layout `cl`: a line of n (no scratch index reaches n), an n x n head,
 /// the visited map (m rows; a chunk walk uses K n < m), per-column offsets,
-/// the gather index (the fused passes' n x n per-residue tables; 2 n x n
-/// for the chunked rotation's), one more row + window per extra slot, the
-/// saved scratch (skinny_saved_rows(m) segment-start rows, or
-/// chunk_saved_elems), and the capacity of the memo-less split lists.
+/// the gather index (the row form's n x n per-residue tables), one more
+/// row + window per extra slot, the saved scratch (skinny_saved_rows(m)
+/// segment-start rows, or chunk_saved_elems: B n n-element block buffers
+/// and segment-start chunks), and the capacity of the memo-less split
+/// lists.
 /// Never Theorem 6's max(m, n) line: the skinny passes move whole rows,
 /// not columns.
 template <typename T>
@@ -300,7 +296,6 @@ void reserve_skinny_as(workspace<T>& ws, std::uint64_t m, std::uint64_t n,
       chunked ? chunk_saved_chunks(n, cl) : skinny_saved_rows(m);
   const std::uint64_t saved = chunked ? chunk_saved_elems<T>(n, cl, slots)
                                       : skinny_saved_rows(m) * n;
-  const std::uint64_t tables = (chunked ? 2 : 1) * n * n;
   // inplace-lint: allow-block(raw-alloc): acquisition-funnel entry — the
   // skinny engine sizes its workspace here, once per plan, before any
   // pass runs: the per-thread rows, windows and block buffers and the
@@ -310,7 +305,7 @@ void reserve_skinny_as(workspace<T>& ws, std::uint64_t m, std::uint64_t n,
   ws.head.resize(static_cast<std::size_t>(n * n));
   ws.visited.allocate(m, scratch_rung::full);
   ws.offsets.resize(static_cast<std::size_t>(n));
-  ws.index.resize(static_cast<std::size_t>(tables));
+  ws.index.resize(static_cast<std::size_t>(n * n));
   ws.team.resize(static_cast<std::size_t>((slots - 1) *
                                           skinny_slot_stride<T>(n)));
   ws.saved.resize(static_cast<std::size_t>(saved));
@@ -320,7 +315,7 @@ void reserve_skinny_as(workspace<T>& ws, std::uint64_t m, std::uint64_t n,
   // inplace-lint: end-block
   INPLACE_ENSURE(ws.line.size() >= n && ws.head.size() >= n * n &&
                      ws.visited.size() >= m &&
-                     ws.index.size() >= tables &&
+                     ws.index.size() >= n * n &&
                      skinny_slots(ws, n) >= slots &&
                      ws.saved.size() >= saved &&
                      ws.cycles.splits.capacity() >= splits &&
@@ -592,32 +587,6 @@ void fused_scatter_pass(T* a, const Math& mm, workspace<T>& ws,
   });
 }
 
-/// C2R pass 1 in layout `cl`: fused_scatter_pass over the whole matrix,
-/// or, chunked, over the m' x n prefix, with the tail's rows taking the
-/// block hook in place — the spread (pass 3) consumes them.
-template <typename T, typename Math, typename BlockFn>
-void skinny_fused_scatter_as(T* a, const Math& mm, const chunk_layout& cl,
-                             workspace<T>& ws, const kernels::kernel_set* ks,
-                             bool stream, BlockFn& block) {
-  if (!cl.chunked()) {
-    fused_scatter_pass(a, mm, ws, ks, stream, block);
-    return;
-  }
-  if (cl.tail > 0) {
-    block(a + cl.prefix * mm.n, cl.tail);
-  }
-  fused_scatter_pass(a, Math(cl.prefix, mm.n), ws, ks, stream, block);
-}
-
-/// C2R pass 1 in the layout skinny_chunk_layout picks.
-template <typename T, typename Math, typename BlockFn = no_block_transform>
-void skinny_fused_scatter(T* a, const Math& mm, workspace<T>& ws,
-                          const kernels::kernel_set* ks, bool stream,
-                          BlockFn block = BlockFn{}) {
-  skinny_fused_scatter_as(a, mm, skinny_chunk_layout<T>(mm.m, mm.n), ws, ks,
-                          stream, block);
-}
-
 /// The chunked passes' team: skinny_team over the m x n problem.
 /// inplace::error, before anything moves, when ws.saved holds no block
 /// buffer per slot (a workspace reserve_skinny did not size for `cl`).
@@ -633,151 +602,102 @@ template <typename T>
   return skinny_team(ws, m, n);
 }
 
-/// The chunked C2R rotation's gather offsets (n entries): idx[j] =
-/// j (n + 1), so transposed row x B + yb of a block gathers row
-/// chunk_source_row(n, x, yb) + j, column j, of a buffer whose row h holds
-/// input row h - (n - 1) of the block: A' row r, column j = input row
-/// r - (n - 1 - j) — p's rotation by j and q's shift by n - 1 together.
-inline void chunk_c2r_table(std::uint64_t n, std::uint64_t* idx) {
-  for (std::uint64_t j = 0; j < n; ++j) {
-    idx[j] = j * (n + 1);
-  }
-}
-
-/// The chunked R2C rotation's gather offsets (two n x n tables): output
-/// row yb n + x, column j takes A' row k = yb n + x + n - 1 - j, column j,
-/// from a buffer holding the block's B n transposed rows and then the next
-/// block's A' rows 0..n-2.  Relative to buffer row yb, A' row k sits at
-/// row chunk_target_row(n, B, x + n - 1 - j) while k stays in the block
-/// (table 0: every yb < B - 1); on the block's last yb the rows past it
-/// come from the staged rows instead (table 1).
-inline void chunk_r2c_tables(std::uint64_t n, std::uint64_t rows,
-                             std::uint64_t* idx) {
-  for (std::uint64_t x = 0; x < n; ++x) {
-    for (std::uint64_t j = 0; j < n; ++j) {
-      const std::uint64_t u = x + n - 1 - j;
-      const std::uint64_t inside = chunk_target_row(n, rows, u);
-      idx[x * n + j] = inside * n + j;
-      idx[n * n + x * n + j] =
-          (u < n ? inside : rows * n + (u - n) - (rows - 1)) * n + j;
-    }
-  }
-}
-
-/// Blocks [lo, hi) of the chunked C2R rotation, bottom-up: each block of
-/// B n rows is staged in `buf` behind the n - 1 rows before it (the
-/// previous block's, still unwritten; for the slab's first block, the
-/// saved window `win`), then written back transposed, one gather per row
-/// (chunk_c2r_table).  Streamed stores stay unfenced.
+/// Structures per tile of the block transposes: one cache line of T (at
+/// least one), so each tile's n runs are written while its rows sit in L1.
 template <typename T>
-void chunk_rotate_c2r_blocks(T* a, std::uint64_t n, const chunk_layout& cl,
-                             std::uint64_t lo, std::uint64_t hi, const T* win,
-                             T* buf, const std::uint64_t* idx,
-                             const kernels::kernel_set* ks, bool stream) {
-  const std::uint64_t halo = (n - 1) * n;
-  const std::uint64_t block = cl.rows * n * n;
-  for (std::uint64_t y = hi; y-- > lo;) {
-    T* rows = a + y * block;
-    copy_back(buf, y > lo ? rows - halo : win, halo);
-    copy_back(buf + halo, rows, block, ks, false);
-    T* out = rows;
+inline constexpr std::uint64_t block_tile_rows =
+    sizeof(T) < 64 ? 64 / sizeof(T) : 1;
+
+/// One block's transpose, C2R: out[chunk_block_slot(n, B, t, x)] <-
+/// in[t n + x] for its B n structures t and n fields x.
+template <typename T>
+void transpose_block(T* out, const T* in, std::uint64_t n,
+                     std::uint64_t rows) {
+  const std::uint64_t bn = rows * n;
+  for (std::uint64_t t0 = 0; t0 < bn; t0 += block_tile_rows<T>) {
+    const std::uint64_t e = std::min(block_tile_rows<T>, bn - t0);
     for (std::uint64_t x = 0; x < n; ++x) {
-      for (std::uint64_t yb = 0; yb < cl.rows; ++yb, out += n) {
-        gather_row(out, buf + chunk_source_row(n, x, yb) * n, idx, n, ks,
-                   stream);
+      T* run = out + chunk_block_slot(n, rows, t0, x);
+      const T* col = in + t0 * n + x;
+      for (std::uint64_t t = 0; t < e; ++t) {
+        run[t] = col[t * n];
       }
     }
   }
 }
 
-/// Blocks [lo, hi) of the chunked R2C rotation, top-down: each block is
-/// staged in `buf` followed by the next block's A' rows 0..n-2 (read from
-/// its transposed layout, still unwritten; for the slab's last block, the
-/// saved window `win`), then written back in natural order, one gather
-/// per row (chunk_r2c_tables).  Streamed stores stay unfenced.
+/// transpose_block's inverse, R2C: out[t n + x] <-
+/// in[chunk_block_slot(n, B, t, x)].
 template <typename T>
-void chunk_rotate_r2c_blocks(T* a, std::uint64_t n, const chunk_layout& cl,
-                             std::uint64_t lo, std::uint64_t hi, const T* win,
-                             T* buf, const std::uint64_t* tables,
-                             const kernels::kernel_set* ks, bool stream) {
-  const std::uint64_t block = cl.rows * n * n;
-  T* staged = buf + block;
-  for (std::uint64_t y = lo; y < hi; ++y) {
-    T* rows = a + y * block;
-    copy_back(buf, rows, block, ks, false);
-    if (y + 1 < hi) {
-      for (std::uint64_t k = 0; k + 1 < n; ++k) {
-        copy_back(staged + k * n,
-                  rows + block + chunk_target_row(n, cl.rows, k) * n, n);
-      }
-    } else {
-      copy_back(staged, win, (n - 1) * n);
-    }
-    T* out = rows;
-    for (std::uint64_t yb = 0; yb < cl.rows; ++yb) {
-      const std::uint64_t* table = tables + (yb + 1 < cl.rows ? 0 : n * n);
-      for (std::uint64_t x = 0; x < n; ++x, out += n) {
-        gather_row(out, buf + yb * n, table + x * n, n, ks, stream);
+void untranspose_block(T* out, const T* in, std::uint64_t n,
+                       std::uint64_t rows) {
+  const std::uint64_t bn = rows * n;
+  for (std::uint64_t t0 = 0; t0 < bn; t0 += block_tile_rows<T>) {
+    const std::uint64_t e = std::min(block_tile_rows<T>, bn - t0);
+    for (std::uint64_t x = 0; x < n; ++x) {
+      const T* run = in + chunk_block_slot(n, rows, t0, x);
+      T* col = out + t0 * n + x;
+      for (std::uint64_t t = 0; t < e; ++t) {
+        col[t * n] = run[t];
       }
     }
   }
 }
 
-/// Chunked pass 2 (C2R: p with q's n - 1 shift absorbed, then each
-/// block's B x n -> n x B row transpose; R2C: its inverse) over the
-/// prefix's K blocks, one slab of blocks per thread.  Each slab's window
-/// — the n - 1 rows before its first block (C2R, mod m'), or the next
-/// slab's first block's A' rows 0..n-2 (R2C, mod K blocks) — is saved in
-/// its slot before the team starts; each thread stages blocks in its own
-/// buffer at the head of ws.saved.
-template <typename T>
-void chunk_rotate(T* a, std::uint64_t m, std::uint64_t n,
-                  const chunk_layout& cl, workspace<T>& ws,
-                  const kernels::kernel_set* ks, bool stream, bool c2r) {
-  const std::uint64_t slabs = std::min(chunk_team(ws, m, n, cl), cl.chunks);
-  INPLACE_REQUIRE(ws.index.size() >= 2 * n * n,
-                  "skinny workspace has no room for the chunk tables");
-  const std::uint64_t block = cl.rows * n;  // rows
-  std::uint64_t* idx = ws.index.data();
-  if (c2r) {
-    chunk_c2r_table(n, idx);
-  } else {
-    chunk_r2c_tables(n, cl.rows, idx);
-  }
-  for (std::uint64_t s = 0; s < slabs; ++s) {
-    T* win = slot_of(ws, n, s).window;
-    if (c2r) {
-      const std::uint64_t lo = slab_lo(cl.chunks, slabs, s) * block;
-      copy_back(win, a + (lo + cl.prefix - (n - 1)) % cl.prefix * n,
-                (n - 1) * n);
-    } else {
-      const std::uint64_t next =
-          slab_lo(cl.chunks, slabs, s + 1) % cl.chunks * block;
-      for (std::uint64_t k = 0; k + 1 < n; ++k) {
-        copy_back(win + k * n, a + (next + chunk_target_row(n, cl.rows, k)) * n,
-                  n);
-      }
-    }
-  }
+/// Chunked pass 1 on the prefix's K blocks of B n rows, one block per
+/// team item: each block is staged in the running thread's buffer at the
+/// head of ws.saved.  C2R applies the block hook to the staged rows and
+/// writes the block back transposed (transpose_block); R2C writes it back
+/// un-transposed and applies the hook to the rows in place.  The blocks
+/// are disjoint, so no slab saves a window.
+template <typename T, typename BlockFn>
+void chunk_transpose(T* a, std::uint64_t m, std::uint64_t n,
+                     const chunk_layout& cl, workspace<T>& ws,
+                     const kernels::kernel_set* ks, BlockFn& block, bool c2r) {
+  const std::uint64_t team = std::min(chunk_team(ws, m, n, cl), cl.chunks);
+  const std::uint64_t bn = cl.rows * n;
   const std::uint64_t stride = chunk_buffer_stride<T>(n, cl);
   team_for(
-      slabs, slabs,
-      [&](std::uint64_t s, std::uint64_t t) {
-        const std::uint64_t lo = slab_lo(cl.chunks, slabs, s);
-        const std::uint64_t hi = slab_lo(cl.chunks, slabs, s + 1);
+      team, cl.chunks,
+      [&](std::uint64_t y, std::uint64_t t) {
+        T* rows = a + y * bn * n;
         T* buf = ws.saved.data() + t * stride;
-        const T* win = slot_of(ws, n, s).window;
+        copy_back(buf, rows, bn * n, ks, false);
         if (c2r) {
-          chunk_rotate_c2r_blocks(a, n, cl, lo, hi, win, buf, idx, ks, stream);
+          block(buf, bn);
+          transpose_block(rows, buf, n, cl.rows);
         } else {
-          chunk_rotate_r2c_blocks(a, n, cl, lo, hi, win, buf, idx, ks, stream);
+          untranspose_block(rows, buf, n, cl.rows);
+          block(rows, bn);
         }
       },
-      [&](std::uint64_t) {
-        if (stream && ks != nullptr) {
-          ks->fence();
-        }
-      });
+      [](std::uint64_t) {});
+}
+
+/// C2R pass 1 in layout `cl`: fused_scatter_pass over the whole matrix,
+/// or, chunked, the prefix's per-block transposes, with the tail's rows
+/// taking the block hook in place — the spread (pass 3) consumes them.
+template <typename T, typename Math, typename BlockFn>
+void skinny_fused_scatter_as(T* a, const Math& mm, const chunk_layout& cl,
+                             workspace<T>& ws, const kernels::kernel_set* ks,
+                             bool stream, BlockFn& block) {
+  if (!cl.chunked()) {
+    fused_scatter_pass(a, mm, ws, ks, stream, block);
+    return;
+  }
+  if (cl.tail > 0) {
+    block(a + cl.prefix * mm.n, cl.tail);
+  }
+  chunk_transpose(a, mm.m, mm.n, cl, ws, ks, block, /*c2r=*/true);
+}
+
+/// C2R pass 1 in the layout skinny_chunk_layout picks.
+template <typename T, typename Math, typename BlockFn = no_block_transform>
+void skinny_fused_scatter(T* a, const Math& mm, workspace<T>& ws,
+                          const kernels::kernel_set* ks, bool stream,
+                          BlockFn block = BlockFn{}) {
+  skinny_fused_scatter_as(a, mm, skinny_chunk_layout<T>(mm.m, mm.n), ws, ks,
+                          stream, block);
 }
 
 /// The rotation p's residuals j mod m into ws.offsets, and the largest.
@@ -794,14 +714,15 @@ std::uint64_t skinny_p_offsets(const Math& mm, workspace<T>& ws) {
 /// C2R pass 2 — rotation component p_j of the column shuffle: row i,
 /// column j <- row (i + j) mod m.  One top-down sweep per slab (the fine
 /// pass of Section 4.6 over the full row width, fine_rotate_rows) with
-/// the next slab's first rows as the window.  Chunked, chunk_rotate's
-/// C2R sweep instead.  Inverse of skinny_rotate_p_inv.
+/// the next slab's first rows as the window.  In a chunked layout `cl`
+/// the identity: pass 1's per-block transpose already placed every
+/// element where p and q's row shift would.  Inverse of
+/// skinny_rotate_p_inv_as.
 template <typename T, typename Math>
-void skinny_rotate_p(T* a, const Math& mm, workspace<T>& ws,
-                     const kernels::kernel_set* ks, bool stream) {
-  const chunk_layout cl = skinny_chunk_layout<T>(mm.m, mm.n);
+void skinny_rotate_p_as(T* a, const Math& mm, const chunk_layout& cl,
+                        workspace<T>& ws, const kernels::kernel_set* ks,
+                        bool stream) {
   if (cl.chunked()) {
-    chunk_rotate(a, mm.m, mm.n, cl, ws, ks, stream, /*c2r=*/true);
     return;
   }
   const std::uint64_t m = mm.m;
@@ -824,6 +745,14 @@ void skinny_rotate_p(T* a, const Math& mm, workspace<T>& ws,
     fine_rotate_rows(a, lo, hi, n, n, res, w, slab.window, ks,
                      ws.index.data(), stream);
   });
+}
+
+/// C2R pass 2 in the layout skinny_chunk_layout picks.
+template <typename T, typename Math>
+void skinny_rotate_p(T* a, const Math& mm, workspace<T>& ws,
+                     const kernels::kernel_set* ks, bool stream) {
+  skinny_rotate_p_as(a, mm, skinny_chunk_layout<T>(mm.m, mm.n), ws, ks,
+                     stream);
 }
 
 /// Rows [lo, hi) of skinny_rotate_p_inv, bottom-up, reading rows before
@@ -861,14 +790,13 @@ void rotate_p_inv_rows(T* a, std::uint64_t lo, std::uint64_t hi,
 /// unwritten; the reads before the slab's first row come from the window,
 /// the previous slab's (for the first slab: the matrix's) last rows,
 /// saved before the team starts.  Unwrapped rows dispatch to the kernel
-/// tier's gather_index over the window of rows [i - max_res, i].
-/// Chunked, chunk_rotate's R2C sweep instead.  Inverse of skinny_rotate_p.
+/// tier's gather_index over the window of rows [i - max_res, i].  In a
+/// chunked layout the identity.  Inverse of skinny_rotate_p_as.
 template <typename T, typename Math>
-void skinny_rotate_p_inv(T* a, const Math& mm, workspace<T>& ws,
-                         const kernels::kernel_set* ks, bool stream) {
-  const chunk_layout cl = skinny_chunk_layout<T>(mm.m, mm.n);
+void skinny_rotate_p_inv_as(T* a, const Math& mm, const chunk_layout& cl,
+                            workspace<T>& ws, const kernels::kernel_set* ks,
+                            bool stream) {
   if (cl.chunked()) {
-    chunk_rotate(a, mm.m, mm.n, cl, ws, ks, stream, /*c2r=*/false);
     return;
   }
   const std::uint64_t m = mm.m;
@@ -890,6 +818,14 @@ void skinny_rotate_p_inv(T* a, const Math& mm, workspace<T>& ws,
     rotate_p_inv_rows(a, lo, hi, n, ws.offsets.data(), w, slab.window, ks,
                       ws.index.data(), stream);
   });
+}
+
+/// R2C pass 2 in the layout skinny_chunk_layout picks.
+template <typename T, typename Math>
+void skinny_rotate_p_inv(T* a, const Math& mm, workspace<T>& ws,
+                         const kernels::kernel_set* ks, bool stream) {
+  skinny_rotate_p_inv_as(a, mm, skinny_chunk_layout<T>(mm.m, mm.n), ws, ks,
+                         stream);
 }
 
 /// The cycles a walk of the gather `perm` over `count` units replays: a
@@ -1306,9 +1242,10 @@ void fused_gather_pass(T* a, const Math& mm, workspace<T>& ws,
 }
 
 /// R2C pass 3 in layout `cl`: fused_gather_pass over the whole matrix,
-/// or, chunked, over the m' x n prefix, with the tail's rows (which pass
-/// 1's gather put back in AoS order) taking the block hook in place.
-/// Inverse of skinny_fused_scatter_as.
+/// or, chunked, the prefix's per-block un-transposes (each block's rows
+/// take the hook after it), with the tail's rows (which pass 1's gather
+/// put back in AoS order) taking the block hook in place.  Inverse of
+/// skinny_fused_scatter_as.
 template <typename T, typename Math, typename BlockFn>
 void skinny_fused_gather_as(T* a, const Math& mm, const chunk_layout& cl,
                             workspace<T>& ws, const kernels::kernel_set* ks,
@@ -1317,7 +1254,7 @@ void skinny_fused_gather_as(T* a, const Math& mm, const chunk_layout& cl,
     fused_gather_pass(a, mm, ws, ks, stream, block);
     return;
   }
-  fused_gather_pass(a, Math(cl.prefix, mm.n), ws, ks, stream, block);
+  chunk_transpose(a, mm.m, mm.n, cl, ws, ks, block, /*c2r=*/false);
   if (cl.tail > 0) {
     block(a + cl.prefix * mm.n, cl.tail);
   }

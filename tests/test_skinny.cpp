@@ -533,11 +533,11 @@ TEST(SkinnyResidueTable, RefillingTheTablesKeepsTheCachedBytes) {
 // --- the chunked passes -------------------------------------------------------
 //
 // From n B rows up (B the fewest rows spanning skinny_chunk_bytes), rows
-// of at most skinny_chunk_row_bytes take the chunked form (DESIGN §17):
-// passes 1 and 2 on the m' = n B ⌊m / (n B)⌋-row prefix, each block's
-// B x n -> n x B row transpose fused into p, one walk over B-row chunks,
-// and the spread of the s = m - m' tail structures.  gcd(m, n) =
-// gcd(s, n), so s picks c: s = 0 gives c = n.
+// of at most skinny_chunk_row_bytes take the chunked form (DESIGN §17.1):
+// pass 1 transposes each block of B n structures of the m' = n B
+// ⌊m / (n B)⌋-row prefix into its n field runs, pass 2 is the identity,
+// and pass 3 walks the B-row chunks and spreads the s = m - m' tail
+// structures.  gcd(m, n) = gcd(s, n), so s picks c: s = 0 gives c = n.
 
 /// Rows of n elements of `elem` bytes over the team floor: whole blocks of
 /// n B rows, then `tail` more.
@@ -567,7 +567,8 @@ TEST(SkinnyChunked, LayoutFollowsTheRowRule) {
   EXPECT_FALSE(detail::skinny_chunk_layout<double>(wide - 1, 24).chunked());
   EXPECT_TRUE(detail::skinny_chunk_layout<double>(wide, 24).chunked());
   EXPECT_TRUE(detail::skinny_chunk_layout<double>(5000, 5).chunked());
-  EXPECT_FALSE(detail::skinny_chunk_layout<double>(50000, 6).chunked());
+  EXPECT_TRUE(detail::skinny_chunk_layout<double>(50000, 8).chunked());
+  EXPECT_FALSE(detail::skinny_chunk_layout<double>(50000, 9).chunked());
 }
 
 TEST(SkinnyChunked, TeamsMatchTheReferenceEngine) {
@@ -597,13 +598,34 @@ TEST(SkinnyChunked, TeamsMatchTheReferenceEngine) {
                              "u16, c = 1");
 }
 
+/// Pass 1 of a chunked layout, done naively: `hook` on every row, then
+/// each prefix block copied aside and written back one field run at a
+/// time (run x holds field x of the block's B n structures in order).
+template <typename E, typename Hook>
+void naive_block_transpose(E* a, std::uint64_t n,
+                           const detail::chunk_layout& cl, Hook& hook) {
+  hook(a, cl.prefix + cl.tail);
+  const std::uint64_t bn = cl.rows * n;
+  std::vector<E> block(bn * n);
+  for (std::uint64_t y = 0; y < cl.chunks; ++y) {
+    E* rows = a + y * bn * n;
+    std::copy(rows, rows + bn * n, block.begin());
+    for (std::uint64_t x = 0; x < n; ++x) {
+      for (std::uint64_t t = 0; t < bn; ++t) {
+        rows[x * bn + t] = block[t * n + x];
+      }
+    }
+  }
+}
+
 /// The tile plans' passes (core/executor.hpp's skinny_passes over W-lane
 /// chunks, the tile pass riding the fused row pass as its block hook) in
 /// the chunked layout with chunks of `rows` rows.  Tile chunk rows are 512
 /// bytes, so the plans reach that layout from skinny_chunk_floor_bytes
-/// up; a small B brings it to test size.  C2R must equal the
-/// transposition and R2C must restore the buffer, on teams 1-4, with the
-/// tail's rows taking the hook too.
+/// up; a small B brings it to test size.  Pass 1 must equal the hook and
+/// the naive per-block transpose, C2R the transposition, and R2C must
+/// restore the buffer, on teams 1-4, with the tail's rows taking the hook
+/// too.
 template <typename T, unsigned W>
 void check_tile_chunks(std::uint64_t mc, std::uint64_t n, std::uint64_t rows,
                        const kernels::kernel_set& ks) {
@@ -622,6 +644,8 @@ void check_tile_chunks(std::uint64_t mc, std::uint64_t n, std::uint64_t rows,
   auto inv = [n](E* r, std::uint64_t k) {
     kernels::tile_pass_portable(reinterpret_cast<T*>(r), n, W, k, false);
   };
+  auto pass_one = src;
+  naive_block_transpose(reinterpret_cast<E*>(pass_one.data()), n, cl, fwd);
   for (int team = 1; team <= 4; ++team) {
     SCOPED_TRACE("team " + std::to_string(team));
     util::thread_count_guard guard(team);
@@ -632,7 +656,8 @@ void check_tile_chunks(std::uint64_t mc, std::uint64_t n, std::uint64_t rows,
                               cl);
     detail::cycle_memo memo;
     detail::skinny_fused_scatter_as(a, mm, cl, ws, &ks, false, fwd);
-    detail::chunk_rotate(a, mc, n, cl, ws, &ks, false, /*c2r=*/true);
+    ASSERT_EQ(buf, pass_one) << "pass 1 differs from the block transpose";
+    detail::skinny_rotate_p_as(a, mm, cl, ws, &ks, false);
     detail::chunk_permute(a, mc, n, cl, ws, &memo, &ks, false, /*c2r=*/true);
     ASSERT_EQ(util::first_mismatch(std::span<const T>(buf),
                                    std::span<const T>(want)),
@@ -640,7 +665,7 @@ void check_tile_chunks(std::uint64_t mc, std::uint64_t n, std::uint64_t rows,
         << "chunked C2R differs from the transposition";
     detail::chunk_permute(a, mc, n, cl, ws, nullptr, nullptr, false,
                           /*c2r=*/false);
-    detail::chunk_rotate(a, mc, n, cl, ws, nullptr, false, /*c2r=*/false);
+    detail::skinny_rotate_p_inv_as(a, mm, cl, ws, nullptr, false);
     detail::skinny_fused_gather_as(a, mm, cl, ws, nullptr, false, inv);
     ASSERT_EQ(buf, src) << "chunked R2C did not restore the buffer";
   }
@@ -681,6 +706,76 @@ TEST(SkinnyChunked, TilePlansTakeTheHookOnTailRows) {
   check_tile_chunks_at<float>(w32, 24 * 7 + 5, 8, 3, native);
 }
 
+/// skinny_fused_scatter on m x n elements of T, teams 1-4, with and
+/// without a kernel set: the naive per-block transpose where the layout
+/// is chunked, the row form's fused pass over the whole matrix where it
+/// is not (m < n B).
+template <typename T>
+void check_pass_one(std::uint64_t m, std::uint64_t n, const char* what) {
+  SCOPED_TRACE(std::string(what) + ": " + std::to_string(m) + "x" +
+               std::to_string(n));
+  const transpose_math<fast_divmod> mm(m, n);
+  const detail::chunk_layout cl = detail::skinny_chunk_layout<T>(m, n);
+  const auto src = util::iota_matrix<T>(m, n);
+  auto want = src;
+  detail::no_block_transform none;
+  if (cl.chunked()) {
+    naive_block_transpose(want.data(), n, cl, none);
+  } else {
+    detail::workspace<T> ws;
+    detail::reserve_skinny(ws, m, n);
+    detail::fused_scatter_pass(want.data(), mm, ws, nullptr, false, none);
+  }
+  const kernels::kernel_set* const sets[] = {
+      &kernels::set_for(kernels::native_tier()), nullptr};
+  for (int team = 1; team <= 4; ++team) {
+    for (const kernels::kernel_set* ks : sets) {
+      SCOPED_TRACE("team " + std::to_string(team) +
+                   (ks == nullptr ? ", untuned" : ", native kernels"));
+      util::thread_count_guard guard(team);
+      auto buf = src;
+      detail::workspace<T> ws;
+      detail::reserve_skinny(ws, m, n);
+      detail::skinny_fused_scatter(buf.data(), mm, ws, ks, false);
+      ASSERT_EQ(util::first_mismatch(std::span<const T>(buf),
+                                     std::span<const T>(want)),
+                -1);
+    }
+  }
+}
+
+TEST(SkinnyChunked, PassOneIsTheBlockTranspose) {
+  check_pass_one<float>(chunked_rows(7, sizeof(float), 0), 7, "f32, s = 0");
+  check_pass_one<float>(chunked_rows(7, sizeof(float), 500), 7,
+                        "f32, 0 < s < n B");
+  check_pass_one<float>(1000, 7, "f32, m < n B: the row form");
+  check_pass_one<double>(chunked_rows(3, sizeof(double), 0), 3,
+                         "f64, s = 0");
+  check_pass_one<double>(chunked_rows(5, sizeof(double), 7), 5,
+                         "f64, 0 < s < n B");
+  check_pass_one<double>(300, 5, "f64, m < n B: the row form");
+  check_pass_one<std::uint8_t>(chunked_rows(9, 1, 0), 9, "u8, s = 0");
+  check_pass_one<std::uint8_t>(chunked_rows(9, 1, 4103), 9,
+                               "u8, s = n B - 1");
+  check_pass_one<std::uint16_t>(chunked_rows(10, 2, 0), 10, "u16, s = 0");
+  check_pass_one<std::uint16_t>(chunked_rows(10, 2, 7), 10,
+                                "u16, 0 < s < n B");
+  check_pass_one<std::uint16_t>(2000, 10, "u16, m < n B: the row form");
+
+  const kernels::kernel_set& native =
+      kernels::set_for(kernels::native_tier());
+  const unsigned w32 = kernels::tile_lanes<float>(native);
+  const unsigned w64 = kernels::tile_lanes<double>(native);
+  if (w32 == 0 || w64 == 0) {
+    GTEST_SKIP() << "the native kernel tier has no in-register tile pass";
+  }
+  // f32 x 8 and f64 x 8 on 2-row chunks (n B = 16): s = 0 and s = 5.
+  for (const std::uint64_t tail : {0, 5}) {
+    check_tile_chunks_at<float>(w32, 16 * 9 + tail, 8, 2, native);
+    check_tile_chunks_at<double>(w64, 16 * 9 + tail, 8, 2, native);
+  }
+}
+
 TEST(SkinnyChunked, UntunedPassesKeepTheWorkspaceBytes) {
   // The memo-less, kernel-less passes the executor's rollback runs: the
   // chunk walk records only into the split lists reserve_skinny sized,
@@ -716,8 +811,9 @@ TEST(SkinnyChunked, WorkspaceWithoutBlockBuffersIsRefused) {
   plain.reserve(m, 7, 7);
   auto buf = util::iota_matrix<float>(m, 7);
   const auto before = buf;
-  EXPECT_THROW(detail::skinny_rotate_p(buf.data(), mm, plain, nullptr, false),
-               inplace::error);
+  EXPECT_THROW(
+      detail::skinny_fused_scatter(buf.data(), mm, plain, nullptr, false),
+      inplace::error);
   detail::cycle_memo memo;
   EXPECT_THROW(detail::skinny_permute_q_inv(buf.data(), mm, plain, &memo,
                                             nullptr, false),
