@@ -1,6 +1,6 @@
 // Ablation for the execution context (core/context.hpp): what plan and
 // arena reuse buys over the one-shot path.  A cold call pays planning,
-// Barrett reciprocal setup, workspace allocation (threads x O(max(m, n))
+// reciprocal setup, workspace allocation (threads x O(max(m, n))
 // elements, Theorem 6) and permutation cycle discovery on top of the
 // actual data movement; a warm call through a transpose_context skips all
 // of it and replays the memoized cycle leaders.

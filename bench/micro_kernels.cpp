@@ -12,7 +12,6 @@
 
 #include "core/equations.hpp"
 #include "core/executor.hpp"
-#include "core/fastdiv64.hpp"
 #include "core/transpose.hpp"
 #include "core/permute.hpp"
 #include "core/rotate.hpp"
@@ -60,22 +59,6 @@ void BM_FastDivMod(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_FastDivMod)->Arg(7)->Arg(1000)->Arg(1048576);
-
-void BM_BarrettDivMod(benchmark::State& state) {
-  const barrett_divmod bd(static_cast<std::uint64_t>(state.range(0)));
-  std::uint64_t acc = 0;
-  std::uint64_t x = 0x123456789abcdefull;
-  for (auto _ : state) {
-    for (int k = 0; k < 64; ++k) {
-      const auto [q, r] = bd.divmod(x);
-      acc += q + r;
-      x = x * 2862933555777941757ull + 3037000493ull;
-    }
-  }
-  benchmark::DoNotOptimize(acc);
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_BarrettDivMod)->Arg(7)->Arg(1000)->Arg(1048576);
 
 // --- Section 4.6: rotation variants ----------------------------------------
 

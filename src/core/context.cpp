@@ -25,7 +25,6 @@ std::size_t context_key_hash::operator()(
   mix((std::uint64_t{k.tile} << 40) | (std::uint64_t{k.kernel} << 32) |
       (std::uint64_t{k.mode} << 24) | (std::uint64_t{k.order} << 16) |
       (std::uint64_t{k.alg} << 8) | std::uint64_t{k.engine});
-  mix(static_cast<std::uint64_t>(k.strength_reduction));
   mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.threads)));
   mix(k.block_bytes);
   // permute_nd identity: the normalized extents and the packed perm.

@@ -155,7 +155,6 @@ struct context_key {
   std::uint8_t engine = 0;         ///< engine_kind
   std::uint8_t kernel = 0;         ///< kernels::tier (requested, pre-resolve)
   std::uint8_t tile = 0;           ///< options::tile_mode
-  bool strength_reduction = true;
   int threads = 0;
   std::size_t block_bytes = 0;
 
@@ -197,7 +196,6 @@ template <typename T>
   key.engine = static_cast<std::uint8_t>(opts.engine);
   key.kernel = static_cast<std::uint8_t>(opts.kernel);
   key.tile = static_cast<std::uint8_t>(opts.tile);
-  key.strength_reduction = opts.strength_reduction;
   key.threads = opts.threads;
   key.block_bytes = opts.block_bytes;
   return key;

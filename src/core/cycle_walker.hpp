@@ -487,8 +487,9 @@ void discover_split_cycles(cycle_memo& memo, std::uint64_t n, IndexFn f,
 }
 
 /// The leaders of f's cycles on [0, n).  A ready `memo` replays its list
-/// (Checked builds REQUIRE its stamp to equal `key`: a memo replayed
-/// against another map would silently scramble the buffer).  Otherwise
+/// once its stamp equals `key`; any other stamp throws inplace::error in
+/// every build, before anything moves (a memo replayed against another
+/// map would silently scramble the buffer).  Otherwise
 /// discovery fills it and stamps it, splitting the cycles longer than
 /// `seg` hops into memo.splits (discover_split_cycles) and listing the
 /// others' leaders in memo.starts.  Discovery completes, rejecting a
@@ -502,10 +503,12 @@ const std::vector<std::uint64_t>& discover_or_replay(cycle_memo& memo,
                                                      visited_map& v,
                                                      std::uint64_t seg = 0) {
   if (memo.ready) {
-    INPLACE_REQUIRE(memo.key == key,
-                    "cycle memo replayed against a different map than the "
-                    "one that discovered it (a stale memo would silently "
-                    "corrupt the buffer)");
+    if (memo.key != key) {
+      throw error(
+          "inplace: cycle memo replayed against a different map than the "
+          "one that discovered it (a stale memo would silently corrupt the "
+          "buffer)");
+    }
     return memo.starts;
   }
   // inplace-lint: allow-block(raw-alloc): leader list appends — bounded

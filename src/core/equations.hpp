@@ -2,8 +2,8 @@
 // The decomposed permutation equations of Sections 3-4 (Eqs. 22-36).
 //
 // All functions are written exactly as derived in the paper, templated on a
-// division policy (fast_divmod for the strength-reduced build, plain_divmod
-// for the ablation).  Index arithmetic is unsigned 64-bit throughout; every
+// division policy (fast_divmod, which every engine runs; plain_divmod, the
+// hardware-division reference the tests and the ablation compare it to).  Index arithmetic is unsigned 64-bit throughout; every
 // subtraction below is guarded by an addition that keeps the intermediate
 // non-negative.
 //

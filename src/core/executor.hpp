@@ -100,7 +100,6 @@ inline void note_plan_record(const transpose_plan& plan,
                    rec.m = plan.m;
                    rec.n = plan.n;
                    rec.block_width = plan.block_width;
-                   rec.strength_reduction = plan.strength_reduction;
                    rec.kernel_tier =
                        plan.tile_block != 0
                            ? kernels::tier_name_inreg(plan.ktier)
@@ -306,22 +305,13 @@ template <typename T>
 struct arena {
   transpose_plan plan;
   const kernels::kernel_set* ks = nullptr;  ///< the plan's resolved tier
-  std::optional<transpose_math<fast_divmod>> fast_math;
-  std::optional<transpose_math<plain_divmod>> plain_math;
+  /// Section 4.4's strength-reduced index math; empty for 1 x n and m x 1.
+  std::optional<transpose_math<fast_divmod>> mm;
   std::optional<workspace<T>> ws;           ///< reference / skinny
   std::optional<workspace_pool<T>> pool;    ///< blocked
   std::unique_ptr<tile_scratch_base> tile;  ///< in-register tile plans
   cycle_memo memo;                          ///< skinny row-permutation cycles
   col_cycle_memo col_memo;                  ///< blocked column-shuffle cycles
-
-  template <typename Math>
-  [[nodiscard]] const Math& math() const {
-    if constexpr (std::is_same_v<Math, transpose_math<fast_divmod>>) {
-      return *fast_math;
-    } else {
-      return *plain_math;
-    }
-  }
 };
 
 /// One invertible pass.  `body(data, a, dir, tuned)` runs the pass in
@@ -368,44 +358,44 @@ pass_list<T> in_order(direction dir, std::initializer_list<pass<T>> c2r) {
 
 /// Algorithm 1's passes over one scratch line (cpu/engine_reference.hpp).
 /// Already kernel-free, so tuned and untuned runs coincide.
-template <typename T, typename Math>
+template <typename T>
 struct reference_passes {
   static void prerotate(T* d, arena<T>& a, direction dir, bool /*tuned*/) {
     if (dir == direction::c2r) {
-      reference_prerotate(d, a.template math<Math>(), *a.ws);
+      reference_prerotate(d, *a.mm, *a.ws);
     } else {
-      reference_prerotate_inv(d, a.template math<Math>(), *a.ws);
+      reference_prerotate_inv(d, *a.mm, *a.ws);
     }
   }
   static void row_shuffle(T* d, arena<T>& a, direction dir, bool /*tuned*/) {
     if (dir == direction::c2r) {
-      reference_row_scatter(d, a.template math<Math>(), *a.ws);
+      reference_row_scatter(d, *a.mm, *a.ws);
     } else {
-      reference_row_gather(d, a.template math<Math>(), *a.ws);
+      reference_row_gather(d, *a.mm, *a.ws);
     }
   }
   static void col_shuffle(T* d, arena<T>& a, direction dir, bool /*tuned*/) {
     if (dir == direction::c2r) {
-      reference_col_shuffle(d, a.template math<Math>(), *a.ws);
+      reference_col_shuffle(d, *a.mm, *a.ws);
     } else {
-      reference_col_shuffle_inv(d, a.template math<Math>(), *a.ws);
+      reference_col_shuffle_inv(d, *a.mm, *a.ws);
     }
   }
 };
 
 /// The blocked engine's passes over the per-thread pool
 /// (cpu/engine_blocked.hpp).  run_passes installs the plan's team.
-template <typename T, typename Math>
+template <typename T>
 struct blocked_passes {
   struct operands {
-    const Math& mm;
+    const transpose_math<fast_divmod>& mm;
     workspace_pool<T>& pool;
     std::uint64_t width;
     const kernels::kernel_set* ks;
     bool stream;  ///< group-local stores (blocked_stream_group)
   };
   static operands view(arena<T>& a, bool tuned) {
-    return {a.template math<Math>(), *a.pool, a.plan.block_width,
+    return {*a.mm, *a.pool, a.plan.block_width,
             tuned ? a.ks : nullptr,
             tuned && blocked_stream_group<T>(a.plan)};
   }
@@ -449,14 +439,13 @@ struct blocked_passes {
 
 /// The skinny engine's passes (cpu/skinny.hpp) over elements (W == 1) or,
 /// for an in-register tile plan, over the arena's W-lane chunk grid.
-template <typename T, typename Math, unsigned W>
+template <typename T, unsigned W>
 struct skinny_passes {
   using elem = std::conditional_t<W == 1, T, kernels::lane_chunk<T, W>>;
-  using math = std::conditional_t<W == 1, Math, transpose_math<fast_divmod>>;
 
   struct operands {
     elem* a;
-    const math& mm;
+    const transpose_math<fast_divmod>& mm;
     workspace<elem>& ws;
     cycle_memo* memo;
     const kernels::kernel_set* ks;
@@ -466,7 +455,7 @@ struct skinny_passes {
     const kernels::kernel_set* ks = tuned ? a.ks : nullptr;
     if constexpr (W == 1) {
       return {d,
-              a.template math<Math>(),
+              *a.mm,
               *a.ws,
               tuned ? &a.memo : nullptr,
               ks,
@@ -560,33 +549,32 @@ pass_list<T> skinny_pass_list(direction dir) {
 /// pass list.  A plan still carrying engine_kind::automatic is forged or
 /// corrupted (make_plan/make_directed_plan resolve it): refuse it loudly
 /// instead of silently picking an engine.
-template <typename T, typename Math>
+template <typename T>
 pass_list<T> lower_passes(const arena<T>& a) {
   const transpose_plan& plan = a.plan;
   switch (plan.engine) {
     case engine_kind::reference:
-      return algorithm1_passes<T, reference_passes<T, Math>>(
-          plan.dir, a.template math<Math>().needs_prerotate());
+      return algorithm1_passes<T, reference_passes<T>>(
+          plan.dir, a.mm->needs_prerotate());
     case engine_kind::blocked:
-      return algorithm1_passes<T, blocked_passes<T, Math>>(
-          plan.dir, a.template math<Math>().needs_prerotate());
+      return algorithm1_passes<T, blocked_passes<T>>(
+          plan.dir, a.mm->needs_prerotate());
     case engine_kind::skinny:
       if constexpr (tile_eligible<T>) {
-        using F = transpose_math<fast_divmod>;
         switch (plan.tile_block) {
           case 2:
-            return skinny_pass_list<T, skinny_passes<T, F, 2>>(plan.dir);
+            return skinny_pass_list<T, skinny_passes<T, 2>>(plan.dir);
           case 4:
-            return skinny_pass_list<T, skinny_passes<T, F, 4>>(plan.dir);
+            return skinny_pass_list<T, skinny_passes<T, 4>>(plan.dir);
           case 8:
-            return skinny_pass_list<T, skinny_passes<T, F, 8>>(plan.dir);
+            return skinny_pass_list<T, skinny_passes<T, 8>>(plan.dir);
           case 16:
-            return skinny_pass_list<T, skinny_passes<T, F, 16>>(plan.dir);
+            return skinny_pass_list<T, skinny_passes<T, 16>>(plan.dir);
           default:
             break;
         }
       }
-      return skinny_pass_list<T, skinny_passes<T, Math, 1>>(plan.dir);
+      return skinny_pass_list<T, skinny_passes<T, 1>>(plan.dir);
     case engine_kind::automatic:
       break;
   }
@@ -744,19 +732,13 @@ class transposer {
       return;
     }
     a_.ks = &kernels::set_for(plan.ktier);
-    if (plan.strength_reduction) {
-      a_.fast_math.emplace(plan.m, plan.n);
-    } else {
-      a_.plain_math.emplace(plan.m, plan.n);
-    }
+    a_.mm.emplace(plan.m, plan.n);
     detail::scratch_bundle<T> scratch = detail::acquire_scratch<T>(a_.plan);
     a_.ws = std::move(scratch.ws);
     a_.pool = std::move(scratch.pool);
     a_.tile = std::move(scratch.tile);
     if (a_.plan.rung != scratch_rung::cycle_follow) {
-      passes_ = plan.strength_reduction
-                    ? detail::lower_passes<T, transpose_math<fast_divmod>>(a_)
-                    : detail::lower_passes<T, transpose_math<plain_divmod>>(a_);
+      passes_ = detail::lower_passes<T>(a_);
     }
   }
 
@@ -800,10 +782,7 @@ class transposer {
     INPLACE_REQUIRE(data != nullptr, "transposer invoked with null data");
     // The precomputed index math and scratch must match the plan they were
     // sized for; a mismatch here means the executor state was corrupted.
-    INPLACE_CHECK(a_.fast_math ? a_.fast_math->m == plan.m &&
-                                     a_.fast_math->n == plan.n
-                               : a_.plain_math->m == plan.m &&
-                                     a_.plain_math->n == plan.n,
+    INPLACE_CHECK(a_.mm->m == plan.m && a_.mm->n == plan.n,
                   "index math shape does not match the plan");
     INPLACE_CHECK(!a_.ws || a_.ws->line.size() >=
                                 (plan.engine == engine_kind::skinny

@@ -88,8 +88,8 @@ class fast_divmod {
   std::uint64_t d_ = 1;
 };
 
-/// Division policy used by the index equations when strength reduction is
-/// disabled (the ablation benchmark toggles between the two policies).
+/// Hardware division: the reference policy the tests and the Section 4.4
+/// ablation bench compare fast_divmod against.  No engine runs it.
 class plain_divmod {
  public:
   explicit constexpr plain_divmod(std::uint64_t d) : d_(d) {

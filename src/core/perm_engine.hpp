@@ -82,7 +82,6 @@ inline void note_perm_record(const perm_plan& plan, std::uint64_t block_width,
                    rec.m = plan.n;
                    rec.n = 1;
                    rec.block_width = block_width;
-                   rec.strength_reduction = false;
                    rec.kernel_tier = kernels::tier_name(plan.ktier);
                    rec.calibration = perm_kind_name(plan.kind);
                  });

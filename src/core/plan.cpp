@@ -54,7 +54,6 @@ transpose_plan make_directed_plan(const void* data, std::size_t m,
   plan.dir = dir;
   plan.m = m;
   plan.n = n;
-  plan.strength_reduction = opts.strength_reduction;
   plan.threads = opts.threads;
 
   plan.engine = opts.engine;
@@ -91,16 +90,15 @@ transpose_plan make_directed_plan(const void* data, std::size_t m,
   plan.streaming_stores = kernels::streaming_profitable(
       static_cast<std::size_t>(plan.m) * plan.n * elem_size, plan.ktier);
 
-  // In-register tile gate.  Correctness part: skinny engine with
-  // strength reduction (the chunked run reuses the fused skinny passes
-  // and their fast_divmod math), a 4/8-byte element whose lane width the
-  // tier implements and divides m, and n within both [2, max_regs] (one
-  // register per matrix column).  Profitability part: the chunked
-  // problem must stay tall (m/W > n) so the fused passes keep their
-  // streaming shape — dropped under INPLACE_FORCE_KERNEL_TIER=inreg so
-  // tests can force the path onto any eligible small shape.
+  // In-register tile gate.  Correctness part: skinny engine (the chunked
+  // run reuses the fused skinny passes), a 4/8-byte element whose lane
+  // width the tier implements and divides m, and n within both
+  // [2, max_regs] (one register per matrix column).  Profitability part:
+  // the chunked problem must stay tall (m/W > n) so the fused passes keep
+  // their streaming shape — dropped under INPLACE_FORCE_KERNEL_TIER=inreg
+  // so tests can force the path onto any eligible small shape.
   plan.tile_block = 0;
-  if (plan.engine == engine_kind::skinny && plan.strength_reduction &&
+  if (plan.engine == engine_kind::skinny &&
       opts.tile != options::tile_mode::off &&
       (elem_size == 4 || elem_size == 8)) {
     const kernels::kernel_set& ks = kernels::set_for(plan.ktier);

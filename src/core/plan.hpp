@@ -82,10 +82,6 @@ struct options {
 
   engine_kind engine = engine_kind::automatic;
 
-  /// Section 4.4 strength reduction; disabling selects hardware division
-  /// (used by the ablation benchmark).
-  bool strength_reduction = true;
-
   /// OpenMP thread count; 0 keeps the runtime default.
   int threads = 0;
 
@@ -108,13 +104,12 @@ struct options {
 
   /// In-register tile-transpose path (the Section 6.2 ladders realized
   /// as SIMD kernels).  `automatic` engages it when the plan-time gate
-  /// holds: skinny engine, strength reduction on, 4/8-byte elements, the
-  /// tier implements tile passes, the lane width divides m, n fits the
-  /// register budget and the chunked problem stays tall.  `off` disables
-  /// it unconditionally — the scratch-line ablation foil
-  /// (bench/ablation_kernels).  INPLACE_FORCE_KERNEL_TIER=inreg (or
-  /// <tier>-inreg) forces the path onto any shape that passes the
-  /// correctness part of the gate.
+  /// holds: skinny engine, 4/8-byte elements, the tier implements tile
+  /// passes, the lane width divides m, n fits the register budget and
+  /// the chunked problem stays tall.  `off` disables it unconditionally
+  /// — the scratch-line ablation foil (bench/ablation_kernels).
+  /// INPLACE_FORCE_KERNEL_TIER=inreg (or <tier>-inreg) forces the path
+  /// onto any shape that passes the correctness part of the gate.
   enum class tile_mode : std::uint8_t { automatic, off };
   tile_mode tile = tile_mode::automatic;
 };
@@ -125,7 +120,10 @@ struct transpose_plan {
   std::uint64_t n = 0;      ///< cols as seen by the algorithm
   direction dir = direction::c2r;
   engine_kind engine = engine_kind::blocked;
-  bool strength_reduction = true;
+  /// Always true: every engine runs Section 4.4's fast_divmod math.  Kept
+  /// only because perfbench/layers.cpp still reads it; drop it with the
+  /// next benchmark change.
+  static constexpr bool strength_reduction = true;
   int threads = 0;
   std::uint64_t block_width = 16;  ///< sub-row width in *elements*
 

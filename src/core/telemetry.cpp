@@ -16,7 +16,6 @@ bool same_plan(const plan_record& a, const plan_record& b) {
          std::strcmp(a.kernel_tier, b.kernel_tier) == 0 && a.m == b.m &&
          a.n == b.n && a.block_width == b.block_width &&
          a.elem_size == b.elem_size &&
-         a.strength_reduction == b.strength_reduction &&
          a.threads_requested == b.threads_requested &&
          a.threads_active == b.threads_active &&
          a.threads_honored == b.threads_honored &&

@@ -71,7 +71,6 @@ struct plan_record {
   std::uint64_t n = 0;
   std::uint64_t block_width = 0;
   std::size_t elem_size = 0;
-  bool strength_reduction = true;
   /// kernels::tier_name of the plan's resolved hot-path kernel tier, so
   /// scalar and vector runs of one shape dedup separately.
   const char* kernel_tier = "";

@@ -149,7 +149,6 @@ inline void note_tensor_record(std::uint64_t total, std::size_t rank,
                    rec.m = total;
                    rec.n = passes;
                    rec.block_width = rank;
-                   rec.strength_reduction = true;
                    rec.kernel_tier = kernel_tier;
                    rec.calibration = calibration;
                  });

@@ -34,7 +34,6 @@
 #include "core/equations.hpp"
 #include "core/errors.hpp"
 #include "core/fastdiv.hpp"
-#include "core/fastdiv64.hpp"
 #include "core/gcdmath.hpp"
 #include "cpu/skinny.hpp"
 #include "util/threads.hpp"
@@ -168,13 +167,12 @@ inline std::string shape_tag(std::uint64_t m, std::uint64_t n) {
 
 }  // namespace detail
 
-/// Verifies that fast_divmod and barrett_divmod agree with hardware / and
-/// % for divisor d across a small exhaustive range plus the boundary
-/// dividends that stress the reciprocals (mn-1, the 32-bit edge, 2^64-1).
+/// Verifies that fast_divmod agrees with hardware / and % for divisor d
+/// across a small exhaustive range plus the boundary dividends that stress
+/// the reciprocal (mn-1, the 32-bit edge where it falls back, 2^64-1).
 inline void check_divmod_agreement(std::uint64_t d, std::uint64_t mn,
                                    fault f, report& rep) {
   const fast_divmod fd(d);
-  const barrett_divmod bd(d);
   const std::uint64_t boundaries[] = {
       mn > 0 ? mn - 1 : 0,
       mn,
@@ -194,18 +192,10 @@ inline void check_divmod_agreement(std::uint64_t d, std::uint64_t mn,
     const std::uint64_t fq =
         (f == fault::fastdiv_magic) ? detail::bad_magic_div(d, x)
                                     : fd.div(x);
-    rep.checks += 6;
-    if (fq != q || fd.mod(x) != r) {
-      rep.fail("fastdiv: reciprocal for d=" + std::to_string(d) +
-               " disagrees with hardware division at x=" +
-               std::to_string(x));
-      return false;
-    }
     const auto [dq, dr] = fd.divmod(x);
-    const auto [bq, br] = bd.divmod(x);
-    if (dq != q || dr != r || bq != q || br != r || bd.div(x) != q ||
-        bd.mod(x) != r) {
-      rep.fail("fastdiv64: Barrett reduction for d=" + std::to_string(d) +
+    rep.checks += 4;
+    if (fq != q || fd.mod(x) != r || dq != q || dr != r) {
+      rep.fail("fastdiv: reciprocal for d=" + std::to_string(d) +
                " disagrees with hardware division at x=" +
                std::to_string(x));
       return false;
@@ -797,7 +787,6 @@ struct sweep_options {
   std::uint64_t min_extent = 2;
   std::uint64_t max_extent = 64;
   fault inject = fault::none;
-  bool use_plain_divmod = false;  ///< verify the no-strength-reduction policy
   /// Called (from one thread at a time) with shapes completed so far.
   void (*progress)(std::uint64_t done, std::uint64_t total) = nullptr;
 };
@@ -827,13 +816,8 @@ inline report run_sweep(const sweep_options& opt) {
     for (std::int64_t k = 0; k < pairs; ++k) {
       const std::uint64_t m = lo + static_cast<std::uint64_t>(k) / extents;
       const std::uint64_t n = lo + static_cast<std::uint64_t>(k) % extents;
-      if (opt.use_plain_divmod) {
-        const faulty_math<plain_divmod> mm(m, n, opt.inject);
-        check_skinny(mm, check_shape(mm, local, scratch), opt.inject, local);
-      } else {
-        const faulty_math<fast_divmod> mm(m, n, opt.inject);
-        check_skinny(mm, check_shape(mm, local, scratch), opt.inject, local);
-      }
+      const faulty_math<fast_divmod> mm(m, n, opt.inject);
+      check_skinny(mm, check_shape(mm, local, scratch), opt.inject, local);
       if (opt.inject == fault::fastdiv_magic) {
         check_divmod_agreement(n, m * n, opt.inject, local);
       }

@@ -310,10 +310,12 @@ void r2c_row_pass(T* a, const Math& mm, workspace_pool<T>& pool,
 }
 
 /// The column-shuffle memo's per-group slots for `groups` groups (null
-/// with no memo), sized on first use.  Checked builds REQUIRE a warm memo
-/// to come from the same pass (`key`) before any group moves.
+/// with no memo), sized on first use.  A warm memo from another pass,
+/// shape or width (group count or `key`) throws inplace::error in every
+/// build before any group moves: the team's per-group replays must not
+/// be the first to see the mismatch.
 inline cycle_memo* col_memo_slots(col_cycle_memo* memo, std::uint64_t groups,
-                                  [[maybe_unused]] std::uint64_t key) {
+                                  std::uint64_t key) {
   if (memo == nullptr) {
     return nullptr;
   }
@@ -322,12 +324,13 @@ inline cycle_memo* col_memo_slots(col_cycle_memo* memo, std::uint64_t groups,
     // population, bounded by the group count and reused on every replay
     memo->groups.resize(static_cast<std::size_t>(groups));
   }
-  INPLACE_REQUIRE(memo->groups.size() == groups &&
-                      (!memo->groups.front().ready ||
-                       memo->groups.front().key == key),
-                  "col_cycle_memo replayed against a different "
-                  "shape/width/pass than the one that discovered it "
-                  "(stale memo would silently corrupt the buffer)");
+  if (memo->groups.size() != groups ||
+      (memo->groups.front().ready && memo->groups.front().key != key)) {
+    throw error(
+        "inplace: col_cycle_memo replayed against a different "
+        "shape/width/pass than the one that discovered it (a stale memo "
+        "would silently corrupt the buffer)");
+  }
   return memo->groups.data();
 }
 

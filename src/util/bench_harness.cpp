@@ -208,7 +208,6 @@ void bench_report::attach_telemetry(const telemetry::collector& coll) {
     p.set("n", static_cast<double>(pc.rec.n));
     p.set("block_width", static_cast<double>(pc.rec.block_width));
     p.set("elem_size", static_cast<double>(pc.rec.elem_size));
-    p.set("strength_reduction", pc.rec.strength_reduction);
     p.set("kernel_tier", pc.rec.kernel_tier);
     p.set("threads_requested",
           static_cast<double>(pc.rec.threads_requested));

@@ -129,9 +129,9 @@ TEST(Context, HitMissAndArenaAccounting) {
   EXPECT_EQ(s.plan_misses, 3u);
 
   // Different options: also a distinct key.
-  options plain;
-  plain.strength_reduction = false;
-  ctx.transpose(a.data(), 20, 30, storage_order::row_major, plain);
+  options untiled;
+  untiled.tile = options::tile_mode::off;
+  ctx.transpose(a.data(), 20, 30, storage_order::row_major, untiled);
   s = ctx.stats();
   EXPECT_EQ(s.plan_misses, 4u);
   EXPECT_EQ(ctx.cached_plans(), 4u);

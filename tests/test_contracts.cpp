@@ -264,8 +264,9 @@ TEST(CheckedEquations, StepperRowIndexPrecondition) {
 // one (shape, pass) could be replayed against another — permute_rows_in_
 // group would walk the stale leader list and silently scramble the
 // buffer.  Memos now stamp memo_fingerprint(m, n, width, pass) at
-// discovery and Checked mode REQUIREs the stamp on every replay; this
-// test fails (by corrupting, not throwing) on the unstamped code.
+// discovery and every replay checks the stamp, throwing inplace::error in
+// every build mode (Checked included); this test fails (by corrupting,
+// not throwing) on the unstamped code.
 TEST(CheckedMemo, StaleShapeReplayTripsTheFingerprint) {
   const std::uint64_t n = 4;
   const inplace::transpose_math<inplace::fast_divmod> mm_a(12, n);
@@ -284,7 +285,7 @@ TEST(CheckedMemo, StaleShapeReplayTripsTheFingerprint) {
   const auto before = b;
   EXPECT_THROW(inplace::detail::skinny_permute_q(b.data(), mm_b, ws, &memo,
                                                  nullptr, false),
-               contract_violation);
+               inplace::error);
   EXPECT_EQ(b, before) << "stale replay touched the buffer";
 }
 
@@ -301,7 +302,7 @@ TEST(CheckedMemo, PassFamilyIsPartOfTheFingerprint) {
   ASSERT_TRUE(memo.ready);
   EXPECT_THROW(inplace::detail::skinny_permute_q_inv(a.data(), mm, ws, &memo,
                                                      nullptr, false),
-               contract_violation);
+               inplace::error);
 }
 
 }  // namespace

@@ -192,4 +192,22 @@ TEST(Executor, PlannedEnginesAreAlwaysConcrete) {
   }
 }
 
+TEST(Executor, ColumnMemoFromTheOtherDirectionIsRefused) {
+  // A blocked column-shuffle memo stamped by C2R, replayed for R2C: every
+  // build mode refuses it before the team moves a group.
+  constexpr std::uint64_t m = 97;
+  constexpr std::uint64_t n = 61;
+  constexpr std::uint64_t width = 8;
+  const transpose_math<fast_divmod> mm(m, n);
+  detail::workspace_pool<float> pool(m, n, width);
+  detail::col_cycle_memo memo;
+  auto buf = util::iota_matrix<float>(m, n);
+  detail::c2r_col_shuffle(buf.data(), mm, width, pool, &memo);
+  ASSERT_TRUE(memo.groups.front().ready);
+  const auto before = buf;
+  EXPECT_THROW(detail::r2c_col_shuffle(buf.data(), mm, width, pool, &memo),
+               error);
+  EXPECT_EQ(buf, before) << "the refused replay touched the buffer";
+}
+
 }  // namespace

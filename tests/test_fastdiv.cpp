@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/equations.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -123,6 +124,46 @@ TEST(PlainDivmod, MatchesHardware) {
     const auto [q, r] = pd.divmod(x);
     EXPECT_EQ(q, x / d);
     EXPECT_EQ(r, x % d);
+  }
+}
+
+TEST(FastDivmod, TransposeMathAgreesWithPlainDivisionBeyond32Bits) {
+  // Math-only overflow stress: for shapes with m*n >= 2^32 the reciprocal
+  // falls back to hardware division, and every index equation must still
+  // agree with plain / and %.  (No buffer of that size is allocated --
+  // only the permutation algebra runs.)  Edges plus a coarse interior
+  // lattice keep this fast.
+  struct big_shape {
+    std::uint64_t m, n;
+  };
+  for (const auto [m, n] : {big_shape{65536, 65537},  // mn = 2^32 + 65536
+                            big_shape{65537, 65536},
+                            big_shape{92681, 46337},  // coprime, mn > 2^32
+                            big_shape{1ull << 20, (1ull << 12) + 1}}) {
+    const inplace::transpose_math<fast_divmod> fast(m, n);
+    const inplace::transpose_math<plain_divmod> plain(m, n);
+    ASSERT_EQ(fast.c, plain.c);
+    const std::uint64_t istep = m / 19 + 1;
+    const std::uint64_t jstep = n / 19 + 1;
+    auto sample = [](std::uint64_t k, std::uint64_t step, std::uint64_t lim) {
+      // 0, 1, lim-2, lim-1 plus the lattice points.
+      return k < 2 ? k : (k < 4 ? lim - 4 + k : (k - 3) * step % lim);
+    };
+    for (std::uint64_t ik = 0; ik < 23; ++ik) {
+      const std::uint64_t i = sample(ik, istep, m);
+      ASSERT_EQ(fast.q(i), plain.q(i)) << m << "x" << n << " i=" << i;
+      ASSERT_EQ(fast.q_inv(i), plain.q_inv(i)) << m << "x" << n;
+      ASSERT_EQ(plain.q_inv(plain.q(i)), i) << "Eq. 33/34 roundtrip";
+      for (std::uint64_t jk = 0; jk < 23; ++jk) {
+        const std::uint64_t j = sample(jk, jstep, n);
+        const std::uint64_t d = fast.d_prime(i, j);
+        ASSERT_EQ(d, plain.d_prime(i, j))
+            << m << "x" << n << " (" << i << "," << j << ")";
+        ASSERT_EQ(fast.d_prime_inv(i, d), plain.d_prime_inv(i, d));
+        ASSERT_EQ(plain.d_prime_inv(i, d), j) << "Eq. 31 must invert Eq. 24";
+        ASSERT_EQ(fast.s_prime(i, j), plain.s_prime(i, j));
+      }
+    }
   }
 }
 

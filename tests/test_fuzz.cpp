@@ -41,7 +41,10 @@ void fuzz_one(util::xoshiro256& rng) {
       opts.engine = engine_kind::automatic;
       break;
   }
-  opts.strength_reduction = rng.uniform(0, 2) == 0;
+  // Untiled draws keep tile-eligible shapes on the scratch-line skinny
+  // passes too.
+  opts.tile = rng.uniform(0, 2) == 0 ? options::tile_mode::off
+                                     : options::tile_mode::automatic;
   opts.threads = static_cast<int>(rng.uniform(0, 3));
   opts.block_bytes = 32u << rng.uniform(0, 4);  // 32..256
   const auto order = rng.uniform(0, 2) == 0 ? storage_order::row_major
@@ -74,7 +77,7 @@ void fuzz_one(util::xoshiro256& rng) {
                                  std::span<const T>(want)),
             -1)
       << m << "x" << n << " engine=" << static_cast<int>(opts.engine)
-      << " sr=" << opts.strength_reduction
+      << " tile=" << static_cast<int>(opts.tile)
       << " order=" << (order == storage_order::row_major ? "rm" : "cm")
       << " alg=" << static_cast<int>(opts.alg)
       << " bw=" << opts.block_bytes;

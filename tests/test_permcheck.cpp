@@ -37,15 +37,6 @@ TEST(Permcheck, CleanSweepVerifiesAllShapes) {
   EXPECT_GT(rep.checks, 0u);
 }
 
-TEST(Permcheck, PlainDivmodPolicySweep) {
-  inplace::verify::sweep_options opt;
-  opt.max_extent = 24;
-  opt.use_plain_divmod = true;
-  const report rep = inplace::verify::run_sweep(opt);
-  EXPECT_TRUE(rep.ok()) << joined_messages(rep);
-  EXPECT_EQ(rep.shapes, 23u * 23u);
-}
-
 TEST(Permcheck, PrimeAndDegenerateGcdShapes) {
   // Coprime (c = 1, no pre-rotation), square (c = m) and highly composite
   // shapes exercise different branches of Eqs. 23/31/34.

@@ -105,12 +105,10 @@ TEST(Plan, SkinnySelectionRules) {
             engine_kind::reference);
 }
 
-TEST(Plan, StrengthReductionAndThreadsPropagate) {
+TEST(Plan, ThreadsPropagate) {
   options opts;
-  opts.strength_reduction = false;
   opts.threads = 5;
   const auto p = make_plan(data, 10, 10, storage_order::row_major, opts, 4);
-  EXPECT_FALSE(p.strength_reduction);
   EXPECT_EQ(p.threads, 5);
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <span>
 #include <string>
@@ -819,6 +820,32 @@ TEST(SkinnyChunked, WorkspaceWithoutBlockBuffersIsRefused) {
                                             nullptr, false),
                inplace::error);
   EXPECT_EQ(buf, before);
+}
+
+TEST(SkinnyMemo, OtherDirectionReplayIsRefused) {
+  // A memo stamped by q, replayed for q^-1: its leaders walk the wrong
+  // cycles, so every build mode refuses it before any row moves — on the
+  // row walk and on the chunked walk alike.
+  for (const std::uint64_t m :
+       {rows_with_whole_and_split_cycles(7, sizeof(float)),
+        chunked_rows(7, sizeof(float), 500)}) {
+    const transpose_math<fast_divmod> mm(m, 7);
+    detail::workspace<float> ws;
+    detail::reserve_skinny(ws, m, 7);
+    detail::cycle_memo memo;
+    auto buf = util::iota_matrix<float>(m, 7);
+    detail::skinny_permute_q(buf.data(), mm, ws, &memo, nullptr, false);
+    ASSERT_TRUE(memo.ready);
+    const auto before = buf;
+    EXPECT_THROW(detail::skinny_permute_q_inv(buf.data(), mm, ws, &memo,
+                                              nullptr, false),
+                 inplace::error)
+        << m << "x7";
+    EXPECT_EQ(std::memcmp(buf.data(), before.data(),
+                          buf.size() * sizeof(float)),
+              0)
+        << m << "x7: the refused replay touched the buffer";
+  }
 }
 
 }  // namespace

@@ -141,16 +141,6 @@ TEST_P(TransposeShapes, ColumnMajorTranspose) {
   EXPECT_EQ(a, want);
 }
 
-TEST_P(TransposeShapes, NoStrengthReduction) {
-  const auto [m, n] = GetParam();
-  auto a = util::iota_matrix<std::uint32_t>(m, n);
-  const auto src = a;
-  options opts;
-  opts.strength_reduction = false;
-  transpose(a.data(), m, n, storage_order::row_major, opts);
-  expect_transposed(a, src, m, n, "plain division");
-}
-
 TEST_P(TransposeShapes, DoubleElements) {
   const auto [m, n] = GetParam();
   auto a = util::iota_matrix<double>(m, n);

@@ -6,18 +6,17 @@
 // (i, ⌊j/b⌋) index forms agree with them, that the column shuffle s'_j
 // (Eq. 26) factors into p and q (Eqs. 32-34) and composes with the other
 // stages to the true transposition permutation l -> l*m mod (mn - 1), and
-// that the fastdiv/fastdiv64 reciprocals agree with hardware / and %.
+// that the fastdiv reciprocals agree with hardware / and %.
 // For every skinny shape (n <= 32 < m) it also proves the q segment split,
 // the fused row passes' per-residue gather tables, and the chunked passes
 // with their prefix spread (chunks of 1-3 rows).
-// Exercises core/equations.hpp and the division policies directly, and of
+// Exercises core/equations.hpp and its fast_divmod policy directly, and of
 // the engines only the schedules and tables it proves, so the algebra is
 // validated independently.
 //
 // Exit status: 0 all shapes verified, 1 a predicate failed, 2 bad usage.
 //
 //   permcheck --max 512                 # the full acceptance sweep
-//   permcheck --max 64 --plain-divmod   # verify the ablation policy too
 //   permcheck --max 16 --seed-bug       # MUST fail: planted Eq. 24 bug
 //   permcheck --max 16 --seed-bug=inverse|column|fastdiv|residue|chunk
 
@@ -35,7 +34,7 @@ namespace {
 
 void usage(std::FILE* out) {
   std::fputs(
-      "usage: permcheck [--min N] [--max N] [--plain-divmod]\n"
+      "usage: permcheck [--min N] [--max N]\n"
       "                 [--seed-bug[=row|inverse|column|fastdiv|residue|chunk]]\n"
       "                 [--threads T] [--quiet]\n",
       out);
@@ -93,8 +92,6 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       threads = *t;
-    } else if (arg == "--plain-divmod") {
-      opt.use_plain_divmod = true;
     } else if (arg == "--quiet" || arg == "-q") {
       opt.progress = nullptr;
     } else if (arg == "--seed-bug" || arg.rfind("--seed-bug=", 0) == 0) {
@@ -166,7 +163,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "permcheck: OK — %llu shapes (%llu <= m, n <= %llu), %llu predicates "
-      "verified (Eqs. 23/24/26/31-36, stepper, fastdiv, fastdiv64, skinny "
+      "verified (Eqs. 23/24/26/31-36, stepper, fastdiv, skinny "
       "q segment split, skinny residue tables, skinny chunked passes)\n",
       static_cast<unsigned long long>(rep.shapes),
       static_cast<unsigned long long>(opt.min_extent),
